@@ -556,7 +556,9 @@ class IndexDomainEngine:
         weight_dictionary: Dictionary of the weight tensor.
 
     Both dictionaries must be derived from the same Golden Dictionary so
-    that they share the exponential base ``a`` and offset ``b``.
+    that they share the exponential base ``a`` and offset ``b``, and their
+    Gaussian centroids must be that curve's ``a**i + b``: Eq. 3-6 count
+    exponent sums, so other centroids would come back silently wrong.
     """
 
     def __init__(
@@ -570,6 +572,12 @@ class IndexDomainEngine:
             raise ValueError(
                 "activation and weight dictionaries must share the same Golden Dictionary"
             )
+        for dictionary in (activation_dictionary, weight_dictionary):
+            if not np.array_equal(dictionary.gaussian_half, dictionary.golden.fit.magnitudes()):
+                raise ValueError(
+                    f"tensor {dictionary.name!r}: index-domain compute needs the exponential "
+                    "Gaussian centroids a**i + b (quantize with use_exponential=True)"
+                )
         self.act_dict = activation_dictionary
         self.weight_dict = weight_dictionary
         self.a = fit_a.a

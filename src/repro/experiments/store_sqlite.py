@@ -134,7 +134,7 @@ class SqliteStoreBackend:
         # isolation_level=None: no implicit transactions; writes manage
         # their own BEGIN IMMEDIATE / COMMIT for multi-writer safety.
         conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S, isolation_level=None)
-        conn.execute("PRAGMA journal_mode=WAL")
+        self._execute_when_free(conn, "PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}")
         conn.execute(_CREATE_TABLE)
@@ -147,6 +147,23 @@ class SqliteStoreBackend:
         with self._conn_lock:
             self._connections.append(conn)
         return conn
+
+    def _execute_when_free(self, conn: sqlite3.Connection, sql: str) -> None:
+        """Run ``sql``, retrying for up to ``BUSY_TIMEOUT_S`` while locked.
+
+        ``BEGIN IMMEDIATE``, and ``PRAGMA journal_mode=WAL`` on a fresh
+        file, can fail with "database is locked" at once instead of waiting
+        on the connection's busy timeout.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute(sql)
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.005)
 
     def _ensure_effective_scheme(self, conn: sqlite3.Connection) -> None:
         """Migrate pre-existing databases to the materialised scheme column.
@@ -164,15 +181,7 @@ class SqliteStoreBackend:
         columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
         if "effective_scheme" in columns:
             return
-        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
-        while True:
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                break
-            except sqlite3.OperationalError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.005)
+        self._execute_when_free(conn, "BEGIN IMMEDIATE")
         try:
             columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
             if "effective_scheme" not in columns:
@@ -199,15 +208,7 @@ class SqliteStoreBackend:
 
     def _write(self, conn: sqlite3.Connection, work) -> Any:
         """Run ``work(conn)`` inside an immediate transaction, retrying on busy."""
-        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
-        while True:
-            try:
-                conn.execute("BEGIN IMMEDIATE")
-                break
-            except sqlite3.OperationalError:
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.005)
+        self._execute_when_free(conn, "BEGIN IMMEDIATE")
         try:
             value = work(conn)
         except BaseException:

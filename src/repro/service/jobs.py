@@ -532,10 +532,10 @@ class Coordinator:
         with self._lock:
             job.state = "running"
             job.started = time.time()
-        for index in range(len(job.shards)):
-            self._spawn(job, index)
         final = "failed"
         try:
+            for index in range(len(job.shards)):
+                self._spawn(job, index)
             while True:
                 self._pump(job, timeout=0.1)
                 with self._lock:

@@ -2,8 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.agglomerative import agglomerative_cluster_1d, pairwise_agglomerative
+from repro.core import agglomerative
+from repro.core.agglomerative import (
+    _heap_cluster_1d,
+    agglomerative_cluster_1d,
+    pairwise_agglomerative,
+)
+
+LINKAGES = st.sampled_from(["ward", "average"])
+
+
+def _assert_same_as_heap(values, num_clusters, linkage):
+    fast = agglomerative_cluster_1d(values, num_clusters, linkage)
+    heap = _heap_cluster_1d(values, num_clusters, linkage)
+    assert np.array_equal(fast.centroids, heap.centroids)
+    assert np.array_equal(fast.sizes, heap.sizes)
+    assert np.array_equal(fast.assignments, heap.assignments)
 
 
 class TestValidation:
@@ -99,3 +116,99 @@ class TestAgainstExactReference:
         # Cluster sizes shrink monotonically-ish towards the tail: the last
         # cluster is far smaller than the first.
         assert result.sizes[-1] < result.sizes[0]
+
+
+class TestRoundsEqualHeap:
+    """The vectorised rounds return exactly the greedy heap's clustering:
+    equal centroids (bit for bit), sizes and assignments."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=120,
+        ),
+        linkage=LINKAGES,
+        data=st.data(),
+    )
+    def test_arbitrary_floats(self, values, linkage, data):
+        k = data.draw(st.integers(1, len(values)), label="num_clusters")
+        _assert_same_as_heap(values, k, linkage)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 600),
+        linkage=LINKAGES,
+        data=st.data(),
+    )
+    def test_random_draws(self, seed, n, linkage, data):
+        values = np.random.default_rng(seed).normal(0.0, 1.0, n)
+        k = data.draw(st.integers(1, n), label="num_clusters")
+        _assert_same_as_heap(values, k, linkage)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        decimals=st.integers(0, 2),
+        linkage=LINKAGES,
+        data=st.data(),
+    )
+    def test_duplicate_heavy_inputs(self, seed, n, decimals, linkage, data):
+        values = np.round(np.random.default_rng(seed).normal(0.0, 1.0, n), decimals)
+        k = data.draw(st.integers(1, n), label="num_clusters")
+        _assert_same_as_heap(values, k, linkage)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.floats(-10, 10, allow_nan=False),
+        step=st.sampled_from([1.0, 0.5, 0.1, 0.01, 3.0]),
+        n=st.integers(1, 150),
+        linkage=LINKAGES,
+        data=st.data(),
+    )
+    def test_evenly_spaced_inputs(self, start, step, n, linkage, data):
+        values = start + step * np.arange(n)
+        k = data.draw(st.integers(1, n), label="num_clusters")
+        _assert_same_as_heap(values, k, linkage)
+
+
+class TestHeapFallback:
+    """Inputs the rounds cannot certify go to the heap, whole."""
+
+    @pytest.fixture
+    def heap_calls(self, monkeypatch):
+        calls = []
+
+        def spy(values, num_clusters, linkage="ward"):
+            calls.append(num_clusters)
+            return _heap_cluster_1d(values, num_clusters, linkage)
+
+        monkeypatch.setattr(agglomerative, "_heap_cluster_1d", spy)
+        return calls
+
+    def test_random_draw_stays_in_the_rounds(self, heap_calls):
+        values = np.abs(np.random.default_rng(0).normal(0.0, 1.0, 5000))
+        agglomerative_cluster_1d(values, 8)
+        assert heap_calls == []
+
+    def test_tie_at_the_cut_goes_to_the_heap(self, heap_calls):
+        # Eight evenly spaced values: the four pairs merge at equal cost,
+        # so a 6-cluster cut would have to pick two of four tied gaps.
+        values = np.arange(8.0)
+        result = agglomerative_cluster_1d(values, 6)
+        assert heap_calls == [6]
+        assert list(result.sizes) == [2, 2, 1, 1, 1, 1]
+
+    def test_merged_mean_rounding_outside_its_parts_goes_to_the_heap(self, heap_calls):
+        # (0.1 + 0.1 + 0.1) / 3 rounds above 0.1.
+        agglomerative_cluster_1d([0.1, 0.1, 0.1, 5.0], 2)
+        assert heap_calls == [2]
+
+    def test_steadily_falling_costs_exhaust_the_round_budget(self, heap_calls):
+        # Geometric spacing: each round merges only the leftmost pair.
+        values = 1.01 ** np.arange(400)
+        agglomerative_cluster_1d(values, 4)
+        assert heap_calls == [4]

@@ -379,3 +379,34 @@ class TestEdgeCases:
         stats = IndexComputeStats(gaussian_pairs=1)
         assert stats.merge(IndexComputeStats(gaussian_pairs=2)) is stats
         assert stats.gaussian_pairs == 3
+
+
+class TestNonExponentialDictionaries:
+    """Eq. 3-6 count exponent sums, so they are only right for centroids on
+    the exponential curve: the engines refuse any other dictionary."""
+
+    def test_non_exponential_dictionary_refused_naming_the_tensor(self, quantizer, rng):
+        plain = MokeyQuantizer(quantizer.golden, use_exponential=False)
+        aq = quantizer.quantize(rng.normal(0, 1, (2, 8)), "attn.input")
+        wq = plain.quantize(rng.normal(0, 0.02, (8, 3)), "attn.query.weight")
+        for engine in (IndexDomainEngine, VectorizedIndexDomainEngine):
+            with pytest.raises(ValueError, match="'attn.query.weight'") as refused:
+                engine(aq.dictionary, wq.dictionary)
+            assert "use_exponential=True" in str(refused.value)
+            assert "\n" not in str(refused.value)
+        with pytest.raises(ValueError, match="'attn.query.weight'"):
+            index_domain_matmul(aq, wq)
+
+    def test_default_dictionaries_still_accepted_and_exact(self, quantizer, rng):
+        aq = quantizer.quantize(rng.normal(0.5, 2.0, (3, 16)), "a")
+        wq = quantizer.quantize(rng.normal(0, 0.02, (16, 4)), "w")
+        magnitudes = quantizer.golden.fit.magnitudes()
+        assert np.array_equal(aq.dictionary.gaussian_half, magnitudes)
+        assert np.array_equal(wq.dictionary.gaussian_half, magnitudes)
+        _, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
+        values, stats = index_domain_matmul(aq, wq)
+        assert stats == scalar_stats
+        assert stats.total_pairs == 3 * 16 * 4
+        a = aq.dictionary.decode(aq.encoded, apply_fixed_point=False).reshape(3, 16)
+        w = wq.dictionary.decode(wq.encoded, apply_fixed_point=False).reshape(16, 4)
+        assert np.allclose(values, a @ w, rtol=1e-9, atol=1e-9)

@@ -65,6 +65,29 @@ def _oracle_digest(tmp_path, spec_dict):
     return store_digest(open_store(root, backend="sqlite"))
 
 
+class _FailingStartContext:
+    """A multiprocessing context whose ``Process.start`` raises from the
+    ``fail_from``-th process on, as when the host cannot spawn more."""
+
+    def __init__(self, context, fail_from):
+        self._context = context
+        self._fail_from = fail_from
+        self._spawned = 0
+
+    def __getattr__(self, name):
+        return getattr(self._context, name)
+
+    def Process(self, *args, **kwargs):  # noqa: N802 - mirrors the context API
+        proc = self._context.Process(*args, **kwargs)
+        self._spawned += 1
+        if self._spawned >= self._fail_from:
+            def start():
+                raise OSError("cannot start worker: resource temporarily unavailable")
+
+            proc.start = start
+        return proc
+
+
 @pytest.fixture
 def coordinator(tmp_path):
     co = Coordinator(tmp_path / "svc-store", store_backend="sqlite")
@@ -201,6 +224,17 @@ class TestCoordinator:
         assert status["state"] == "completed"
         assert [shard["total"] for shard in status["shards"]] == [1, 0, 0]
         assert store_digest(open_store(coordinator.store_root, backend="sqlite")) == oracle
+
+    def test_worker_that_fails_to_spawn_fails_the_job(self, coordinator):
+        coordinator._ctx = _FailingStartContext(coordinator._ctx, fail_from=2)
+        job_id = coordinator.submit(_spec_dict(), workers=2)
+        status = coordinator.wait(job_id, timeout=WAIT)
+        assert status["state"] == "failed"
+        assert "cannot start worker" in status["error"]
+        assert "\n" not in status["error"]
+        assert all(shard["pid"] is None for shard in status["shards"])
+        # The worker that did start is reaped with the job.
+        assert not any(proc.is_alive() for proc in coordinator._jobs[job_id].procs.values())
 
     def test_job_states_vocabulary_is_registered(self):
         from repro.registry import get_registry

@@ -23,9 +23,11 @@ backends interchangeable, so this module tests it three ways:
 import hashlib
 import itertools
 import json
+import multiprocessing
 import random
 import sqlite3
 import threading
+import time
 import types
 from concurrent.futures import ProcessPoolExecutor
 
@@ -696,6 +698,22 @@ def _process_stress_worker(root: str, indices, part: int) -> int:
     return len(indices)
 
 
+def _put_into_fresh_store(root: str, i: int, start_at: float) -> str:
+    """Wait until ``start_at``, then open ``root`` and put one record.
+
+    Returns the error text, or "" on success.
+    """
+    time.sleep(max(0.0, start_at - time.time()))
+    store = SqliteStoreBackend(root)
+    try:
+        _stress_put(store, i, 0)
+        return ""
+    except sqlite3.Error as exc:
+        return f"{type(exc).__name__}: {exc}"
+    finally:
+        store.close()
+
+
 def _oracle_digests(tmp_path, n: int) -> dict:
     oracle = open_store(tmp_path / "oracle", backend="sqlite")
     for i in range(n):
@@ -750,6 +768,29 @@ class TestSqliteConcurrency:
         store = SqliteStoreBackend(root)
         assert len(store) == self.N
         assert store_digests(store) == _oracle_digests(tmp_path, self.N)
+
+    def test_processes_opening_one_fresh_store_at_once(self, tmp_path):
+        # Switching a fresh file to WAL can report "database is locked"
+        # without waiting on the busy timeout; every opener must retry.
+        workers, attempts = 4, 12
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            def race(root: str, delay: float) -> list:
+                start_at = [time.time() + delay] * workers
+                return list(pool.map(
+                    _put_into_fresh_store, [root] * workers, range(workers), start_at
+                ))
+
+            # Start every worker (each import takes a while) before racing.
+            race(str(tmp_path / "warm"), 0.5)
+            for attempt in range(attempts):
+                root = str(tmp_path / f"fresh-{attempt}")
+                errors = race(root, 0.05)
+                assert errors == [""] * workers, f"attempt {attempt}: {errors}"
+                store = SqliteStoreBackend(root)
+                assert len(store) == workers
+                store.close()
 
     def test_killed_sqlite_campaign_resumes_bit_identically(self, tmp_path):
         def spec(store_dir):
