@@ -7,10 +7,12 @@ is visible PR-over-PR:
 
 * ``quantization`` — tensor fit+encode throughput (values/s);
 * ``index_matmul`` — the scalar reference engine vs the vectorized
-  engine on a layer-scale GEMM, with the speedup **asserted** against a
-  conservative floor so vectorization can never silently regress back to
-  the Python loop (>=100x at the full 128x768 @ 768x768 shape, >=20x on
-  the tiny CI grid);
+  engine on a layer-scale GEMM, cold GEMM against cold GEMM, with the
+  speedup **asserted** against a conservative floor so vectorization can
+  never silently regress back to the Python loop (>=100x at the full
+  128x768 @ 768x768 shape, >=20x on the tiny CI grid), and the plane
+  cache's bytes per cached weight parameter **asserted** <= 8.5 (one
+  float64 decoded centroid plus its per-``k`` Gaussian count);
 * ``encoder_layer`` — an end-to-end index-domain encoder-layer forward
   at realistic shape (BERT-Base, seq 128), which the scalar engine could
   only finish in hours;
@@ -42,6 +44,7 @@ from conftest import TINY_MODE, record_perf
 
 from repro.core.index_compute import (
     IndexDomainEngine,
+    PlaneCache,
     VectorizedIndexDomainEngine,
     get_plane_cache,
     use_plane_cache,
@@ -67,6 +70,9 @@ if TINY_MODE:
 else:
     GEMM_M, GEMM_K, GEMM_N = 128, 768, 768
     SPEEDUP_FLOOR = 100.0
+# A cached weight holds its float64 decoded centroids (8 B/parameter)
+# plus one int64 Gaussian count per row of K.
+CACHE_BYTES_PER_WEIGHT_FLOOR = 8.5
 
 
 def _best_of(fn, repeats: int = 3) -> float:
@@ -129,23 +135,34 @@ def test_perf_quantization(mokey_quantizer):
 
 
 def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
-    """The tentpole guarantee: vectorized >= {100x, 20x tiny} over scalar."""
+    """The tentpole guarantee: vectorized >= {100x, 20x tiny} over scalar.
+
+    Both sides are timed best-of-3 with no plane cache, so the ratio
+    compares a cold GEMM with a cold GEMM.  A separate cached GEMM then
+    measures the plane cache's footprint per weight parameter.
+    """
     aq, wq = _gemm_operands(mokey_quantizer, GEMM_M, GEMM_K, GEMM_N)
     scalar_engine = IndexDomainEngine(aq.dictionary, wq.dictionary)
     vector_engine = VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary)
 
-    started = time.perf_counter()
-    scalar_values, scalar_stats = scalar_engine.matmul(aq, wq)
-    scalar_seconds = time.perf_counter() - started
-    vector_seconds = _best_of(lambda: vector_engine.matmul(aq, wq))
-    result = vector_engine.matmul(aq, wq)
+    scalar_runs = []
+    scalar_seconds = _best_of(lambda: scalar_runs.append(scalar_engine.matmul(aq, wq)))
+    scalar_values, scalar_stats = scalar_runs[-1]
+    with use_plane_cache(None):
+        vector_seconds = _best_of(lambda: vector_engine.matmul(aq, wq))
+    cache = PlaneCache(max_bytes=1 << 40)
+    with use_plane_cache(cache):
+        result = vector_engine.matmul(aq, wq)
+    bytes_per_weight = cache.bytes_cached / (GEMM_K * GEMM_N)
 
     speedup = scalar_seconds / vector_seconds
     macs = GEMM_M * GEMM_K * GEMM_N
     print(
         f"\nindex matmul {GEMM_M}x{GEMM_K} @ {GEMM_K}x{GEMM_N}: "
         f"scalar {scalar_seconds:.2f}s, vectorized {vector_seconds * 1e3:.1f} ms "
-        f"({speedup:.0f}x, {macs / vector_seconds / 1e9:.2f} Gpairs/s vectorized)"
+        f"({speedup:.0f}x, {macs / vector_seconds / 1e9:.2f} Gpairs/s vectorized), "
+        f"plane cache {bytes_per_weight:.2f} B/weight parameter "
+        f"(floor {CACHE_BYTES_PER_WEIGHT_FLOOR})"
     )
     record_perf(
         "index_matmul",
@@ -156,11 +173,18 @@ def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
             "speedup": speedup,
             "speedup_floor": SPEEDUP_FLOOR,
             "vectorized_pairs_per_second": macs / vector_seconds,
+            "plane_cache_bytes_per_weight": bytes_per_weight,
+            "plane_cache_bytes_per_weight_floor": CACHE_BYTES_PER_WEIGHT_FLOOR,
         },
     )
     # Equivalence: same values (fp tolerance), identical statistics.
     assert np.allclose(scalar_values, result.values, rtol=1e-9, atol=1e-8)
     assert result.stats == scalar_stats
+    assert bytes_per_weight <= CACHE_BYTES_PER_WEIGHT_FLOOR, (
+        f"plane cache holds {bytes_per_weight:.2f} B per weight parameter "
+        f"(floor {CACHE_BYTES_PER_WEIGHT_FLOOR}) — did it start caching more "
+        f"than the decoded operand?"
+    )
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized engine only {speedup:.1f}x over scalar "
         f"(floor {SPEEDUP_FLOOR}x) — did a code path fall back to Python loops?"

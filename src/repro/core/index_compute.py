@@ -20,47 +20,37 @@ Two engines implement the arithmetic:
 * :class:`IndexDomainEngine` — the faithful scalar engine: one Python
   ``dot`` per output activation, histograms accumulated with
   ``np.add.at`` exactly as the GPE's counter register files do.  It is the
-  correctness reference for the hardware model and for the vectorized
-  engine, but a Python loop per output element makes it unusable at model
-  scale (a single BERT-base GEMM holds ~10^5 outputs).
-* :class:`VectorizedIndexDomainEngine` — computes whole GEMMs with NumPy
-  array operations, ~100-1000x faster at layer shapes.
+  Eq. 3-6 oracle for the hardware model and for the vectorized engine,
+  but a Python loop per output element makes it unusable at model scale
+  (a single BERT-base GEMM holds ~10^5 outputs).
+* :class:`VectorizedIndexDomainEngine` — computes whole GEMMs as one
+  dense product of decoded operands, ~100-1000x faster at layer shapes.
 
-**The bincount / indicator-product formulation.**  The symbol alphabet is
-tiny — 8 Gaussian magnitudes x sign plus up to 16 outlier centroids — so
-every per-output histogram is a ``np.bincount`` of 4-bit symbols, and the
-post-processing step only ever multiplies a histogram by fixed per-bin
-weights (``a**bin`` for SoI, Eq. 3-6 constants for the rest).  Weighted
-reduction commutes with accumulation: instead of materialising the
-histogram of exponent sums and then reducing it, map every symbol to its
-per-bin weight *first* (an 8-entry lookup table, i.e. an indicator matrix
-``X`` with ``X[s, k] = [symbol_k == s]`` contracted against the weight
-table) and let one matrix product accumulate all outputs of the GEMM at
-once.  Concretely, with Gaussian masks ``g`` (1 where a value is not an
-outlier), signs ``theta`` and exponent indexes ``i``:
+**Why decode-then-contract equals Eq. 3-6.**  The histogram terms exist
+so that 3-bit adders can replace multipliers in hardware; they are an
+exact regrouping of ``sum_k A_k * W_k``.  Expanding the product of two
+Gaussian values ``(theta_A (a**i + b) s_A + m_A) (theta_W (a**j + b) s_W
++ m_W)`` gives exactly the SoI + SoA1 + SoW1 + PoM1 term
+``s_A s_W theta_A theta_W (a**i + b)(a**j + b)``, the SoA2/PoM2 and
+SoW2/PoM3 terms, and the constant PoM4 ``m_A m_W``; outlier pairs
+contribute their centroid product directly.  Summed over ``k``, Eq. 3-6
+plus the OPP therefore equal ``decode(A) @ decode(W)`` — *provided* the
+decoded Gaussian magnitudes are the curve ``a**i + b`` that the
+histograms count.  The engine checks that at construction (it refuses
+any dictionary whose ``gaussian_half`` is not the Golden Dictionary fit's
+``a**i + b``), so the vectorized engine computes every GEMM as a single
+BLAS call on the decoded 16-bit centroids
+(``dictionary.decode(encoded, apply_fixed_point=False)``), and values
+agree with the scalar histograms to floating-point round-off.
 
-    ``U = theta_A * a**i_A * g_A``, ``T = theta_A * g_A``, ``G = g_A``
-    (each ``(M, K)``), and symmetrically ``V, R, H`` for the weights
-    (each ``(K, N)``).  Then, for every output at once,
-
-    ``sum_bins SoI_hist * a**bin  = U @ V``
-    ``sum_bins SoA1_hist * a**bin = U @ R``   (and ``T @ V`` for SoW1)
-    ``PoM1 counts                 = T @ R``   (sign-product counts)
-    ``per-output Gaussian-pair counts = G @ H``
-
-Because every ``U``-family product enters Eq. 3-6 alongside its
-``b``-weighted ``T``-family partner, the implementation folds the offset
-up front — ``P = U + b*T = theta * (a**i + b) * g`` (exactly the decoded
-magnitude of the symbol) and ``Q = V + b*R`` — which merges the four
-SoI/SoA1/SoW1/PoM1 products into the single block ``P @ Q``.  The four
-remaining pairwise products of ``{P, G}`` x ``{Q, H}`` are what one
-stacked ``(2M, K) @ (K, 2N)`` BLAS call produces together.  Outlier
-pairs — the pairs masked *out* of the planes above — are handled by
-masked direct MACs on the decoded 16-bit centroids, mirroring the OPP.
-Operation statistics are exact integer counts derived from the indicator
-planes alone, so the vectorized engine reports *identical*
-:class:`IndexComputeStats` to the scalar engine (a property-test-locked
-guarantee), while values agree to floating-point round-off.
+**Why the operation counts stay exact.**  Every count of
+:class:`IndexComputeStats` is a function of how many pairs of each
+output are Gaussian pairs.  That count is ``(G_A @ G_W)[m, n]`` for the
+Gaussian masks ``G = ~is_outlier``; summing over ``n`` first gives the
+per-row count ``G_A @ gauss_per_k`` with ``gauss_per_k`` the weight's
+per-``k`` Gaussian count.  Both are integer NumPy arithmetic, so every
+backend reports *identical* statistics to the scalar engine (a
+property-test-locked guarantee).
 """
 
 from __future__ import annotations
@@ -207,14 +197,14 @@ class PlaneCacheStats:
     """Counters of the plane cache, a sibling of :class:`IndexComputeStats`.
 
     Attributes:
-        hits: Digest-cache lookups that found the planes already built.
-        misses: Digest-cache lookups that had to build the planes.
+        hits: Digest-cache lookups that found the decoded operand built.
+        misses: Digest-cache lookups that had to decode the operand.
         attached_hits: Plane sets served from the operand tensor itself
             (the KV cache's incrementally grown slabs attach these).
         evictions: Entries dropped by the LRU byte budget.
-        device_uploads: Plane arrays converted/uploaded by a device
-            backend (the torch engine's one-time residency cost).
-        device_reuses: Device-resident plane tensors reused without a
+        device_uploads: Decoded operands uploaded by a device backend
+            (the torch engine's one-time residency cost).
+        device_reuses: Device-resident decoded operands reused without a
             conversion or transfer.
         entries: Entries currently resident in the digest cache.
         bytes_cached: Bytes currently held by the digest cache.
@@ -231,7 +221,7 @@ class PlaneCacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of plane requests served without rebuilding planes."""
+        """Fraction of operand requests served without decoding again."""
         served = self.hits + self.attached_hits
         total = served + self.misses
         return served / total if total else 0.0
@@ -260,122 +250,50 @@ class PlaneCacheStats:
 
 
 class PlaneSet:
-    """The indicator planes of one operand in one GEMM role.
+    """The decoded operand of one tensor in one GEMM role.
 
-    ``role="lhs"`` holds the activation-side planes: ``p``/``g`` are the
-    ``(M, K)`` symbol and Gaussian-indicator planes, :attr:`stacked` their
-    ``(2M, K)`` row concatenation ``[P; G]``.  ``role="rhs"`` holds the
-    weight-side planes: ``p``/``g`` are ``(K, N)``, :attr:`stacked` the
-    ``(K, 2N)`` column concatenation ``[Q | H]``.  ``p`` and ``g`` are
-    views into :attr:`stacked`, so one buffer feeds the stacked BLAS call
-    directly.
-
-    The decoded centroids (:attr:`dec`) and their masked variants —
-    needed only when outlier pairs exist — materialise lazily and stay
-    with the plane set, so a cached weight decodes once across every GEMM
-    that touches it.  :attr:`device_tensors` is scratch space for device
-    backends to pin uploaded copies (keyed ``(slot, device)``).
+    :attr:`dec` holds the tensor's decoded 16-bit centroids as a
+    C-contiguous float64 array in the GEMM orientation: ``(M, K)`` for
+    the activation (``role="lhs"``) side, ``(K, N)`` for the weight
+    (``role="rhs"``) side.  The exact statistics need only the Gaussian
+    masks, so the activation side keeps its ``(M, K)`` outlier mask
+    :attr:`out` and the weight side only its per-``k`` Gaussian count
+    :attr:`gauss_per_k` — about 8 bytes per weight parameter in all.
+    :attr:`device_tensors` is scratch space for device backends to pin
+    an uploaded copy of :attr:`dec` (keyed by device).
     """
 
-    __slots__ = (
-        "role",
-        "fit_key",
-        "plane_shape",
-        "stacked",
-        "p",
-        "g",
-        "out",
-        "has_outliers",
-        "gauss_per_k",
-        "device_tensors",
-        "_dec",
-        "_dec_out",
-        "_dec_gauss",
-        "_encoded",
-        "_dictionary",
-        "_on_grow",
-    )
+    __slots__ = ("role", "fit_key", "plane_shape", "dec", "out", "gauss_per_k", "device_tensors")
 
     def __init__(
         self,
-        p: np.ndarray,
-        g: np.ndarray,
+        dec: np.ndarray,
         out: np.ndarray,
         role: str,
         fit_key: Tuple[float, float, int],
-        dictionary: Optional[TensorDictionary] = None,
-        encoded: Optional[EncodedValues] = None,
-        dec: Optional[np.ndarray] = None,
     ) -> None:
         if role not in ("lhs", "rhs"):
             raise ValueError(f"role must be 'lhs' or 'rhs', got {role!r}")
         self.role = role
         self.fit_key = fit_key
-        self.plane_shape = tuple(out.shape)
-        rows, cols = self.plane_shape
-        axis = 0 if role == "lhs" else 1
         # C-contiguous everywhere: transposed/sliced sources may arrive
         # F-ordered, and a fixed layout keeps every BLAS call bitwise
-        # reproducible regardless of how the planes were assembled.
-        out = np.ascontiguousarray(out)
-        stacked = np.concatenate([p, g], axis=axis)
+        # reproducible regardless of how the operand was assembled.
+        self.dec = np.ascontiguousarray(dec, dtype=np.float64)
+        self.plane_shape = tuple(self.dec.shape)
         if role == "lhs":
-            self.p, self.g = stacked[:rows], stacked[rows:]
+            self.out: Optional[np.ndarray] = out
+            self.gauss_per_k: Optional[np.ndarray] = None
         else:
-            self.p, self.g = stacked[:, :cols], stacked[:, cols:]
-        self.stacked = stacked
-        self.out = out
-        self.has_outliers = bool(out.any())
-        self.gauss_per_k = (
-            (~out).sum(axis=1, dtype=np.int64) if role == "rhs" else None
-        )
-        self.device_tensors: Dict[Tuple[str, str], Any] = {}
-        self._dec = dec
-        self._dec_out: Optional[np.ndarray] = None
-        self._dec_gauss: Optional[np.ndarray] = None
-        self._encoded = encoded
-        self._dictionary = dictionary
-        self._on_grow = None
-
-    @property
-    def dec(self) -> np.ndarray:
-        """Decoded 16-bit centroids in the plane orientation (lazy)."""
-        if self._dec is None:
-            if self._dictionary is None or self._encoded is None:
-                raise ValueError("plane set was built without a decode source")
-            self._dec = np.ascontiguousarray(
-                self._dictionary.decode(self._encoded, apply_fixed_point=False).reshape(
-                    self.plane_shape
-                )
-            )
-            self._grew(self._dec.nbytes)
-        return self._dec
-
-    @property
-    def dec_out(self) -> np.ndarray:
-        """``dec`` masked to the outlier entries (lazy)."""
-        if self._dec_out is None:
-            self._dec_out = self.dec * self.out
-            self._grew(self._dec_out.nbytes)
-        return self._dec_out
-
-    @property
-    def dec_gauss(self) -> np.ndarray:
-        """``dec`` masked to the Gaussian entries (lazy)."""
-        if self._dec_gauss is None:
-            self._dec_gauss = self.dec * self.g
-            self._grew(self._dec_gauss.nbytes)
-        return self._dec_gauss
-
-    def _grew(self, nbytes: int) -> None:
-        if self._on_grow is not None:
-            self._on_grow(int(nbytes))
+            self.out = None
+            self.gauss_per_k = (~out).sum(axis=1, dtype=np.int64)
+        self.device_tensors: Dict[str, Any] = {}
 
     @property
     def nbytes(self) -> int:
-        """Host bytes currently held (stacked + mask + materialised lazies)."""
-        total = int(self.stacked.nbytes) + int(self.out.nbytes)
-        for array in (self._dec, self._dec_out, self._dec_gauss):
+        """Host bytes held (decoded centroids plus the mask or its counts)."""
+        total = int(self.dec.nbytes)
+        for array in (self.out, self.gauss_per_k):
             if array is not None:
                 total += int(array.nbytes)
         return total
@@ -390,12 +308,12 @@ class PlaneCache:
     """Cross-call LRU cache of weight-side :class:`PlaneSet` artifacts.
 
     Keys are the operand's content digest (plus role), so an entry can
-    never serve stale planes: a tensor with different encoded values or a
-    different dictionary has a different digest *by construction* — there
-    is no invalidation protocol to get wrong.  The byte budget covers the
-    host plane arrays (stacked planes, outlier mask, lazily materialised
-    decoded centroids); least-recently-used entries are dropped when the
-    budget is exceeded, and any device-resident copies go with them.
+    never serve a stale operand: a tensor with different encoded values or
+    a different dictionary has a different digest *by construction* —
+    there is no invalidation protocol to get wrong.  The byte budget
+    covers each entry's host arrays (:attr:`PlaneSet.nbytes`);
+    least-recently-used entries are dropped when the budget is exceeded,
+    and any device-resident copies go with them.
 
     Thread-safe; counters are exposed as :class:`PlaneCacheStats`.
     """
@@ -445,27 +363,15 @@ class PlaneCache:
             previous = self._entries.pop(key, None)
             if previous is not None:
                 self._bytes -= previous.nbytes
-                previous._on_grow = None
             self._entries[key] = plane_set
             self._bytes += plane_set.nbytes
-            plane_set._on_grow = self._grow
-            self._evict_over_budget()
-
-    def _grow(self, nbytes: int) -> None:
-        """Account a cached entry's lazy materialisation (decoded centroids)."""
-        with self._lock:
-            self._bytes += nbytes
-            self._evict_over_budget()
-
-    def _evict_over_budget(self) -> None:
-        # Caller holds the lock.  Evicting the newest entry too (when it
-        # alone exceeds the budget) keeps the budget strict; the caller
-        # still holds a reference and proceeds, the cache just stays cold.
-        while self._bytes > self.max_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            evicted._on_grow = None
-            self.evictions += 1
+            # Evicting the newest entry too (when it alone exceeds the
+            # budget) keeps the budget strict; the caller still holds a
+            # reference and proceeds, the cache just stays cold.
+            while self._bytes > self.max_bytes and self._entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.nbytes
+                self.evictions += 1
 
     def note_attached_hit(self) -> None:
         with self._lock:
@@ -496,8 +402,6 @@ class PlaneCache:
     def clear(self) -> None:
         """Drop every entry (counters keep their totals)."""
         with self._lock:
-            for plane_set in self._entries.values():
-                plane_set._on_grow = None
             self._entries.clear()
             self._bytes = 0
 
@@ -587,8 +491,8 @@ class IndexDomainEngine:
         # the OPP multiplies the SoI histogram with during post-processing).
         self.soi_bases = self.a ** np.arange(2 * self.num_entries - 1, dtype=np.float64)
         self.half_bases = self.a ** np.arange(self.num_entries, dtype=np.float64)
-        #: Golden-fit identity of the planes this engine builds; plane sets
-        #: attached to tensors are only accepted when their fit matches.
+        #: Golden-fit identity of the operands this engine builds; plane
+        #: sets attached to tensors are only accepted when their fit matches.
         self._fit_key = (float(self.a), float(self.b), int(self.num_entries))
 
     @property
@@ -723,84 +627,22 @@ class IndexDomainEngine:
         return result, stats
 
 
-@dataclass
-class _IndicatorPlanes:
-    """The per-GEMM indicator planes of the vectorized formulation.
-
-    A pair of :class:`PlaneSet` artifacts — the ``(M, K)`` activation
-    planes in the ``lhs`` role and the ``(K, N)`` weight planes in the
-    ``rhs`` role.  Either side may come from the plane cache (or arrive
-    pre-built on the operand tensor); the compatibility properties keep
-    the plane names of the formulation (``p_a``/``g_a``/``q_w``/``h_w``).
-    """
-
-    act: PlaneSet
-    wgt: PlaneSet
-
-    @property
-    def p_a(self) -> np.ndarray:
-        return self.act.p
-
-    @property
-    def g_a(self) -> np.ndarray:
-        return self.act.g
-
-    @property
-    def q_w(self) -> np.ndarray:
-        return self.wgt.p
-
-    @property
-    def h_w(self) -> np.ndarray:
-        return self.wgt.g
-
-    @property
-    def out_a(self) -> np.ndarray:
-        return self.act.out
-
-    @property
-    def out_w(self) -> np.ndarray:
-        return self.wgt.out
-
-    @property
-    def m_rows(self) -> int:
-        return self.act.plane_shape[0]
-
-    @property
-    def k_len(self) -> int:
-        return self.act.plane_shape[1]
-
-    @property
-    def n_cols(self) -> int:
-        return self.wgt.plane_shape[1]
-
-    @property
-    def lhs(self) -> np.ndarray:
-        """The stacked ``(2M, K)`` left operand: rows ``{P, G}``."""
-        return self.act.stacked
-
-    @property
-    def rhs(self) -> np.ndarray:
-        """The stacked ``(K, 2N)`` right operand: columns ``{Q, H}``."""
-        return self.wgt.stacked
-
-
 class VectorizedIndexDomainEngine(IndexDomainEngine):
-    """Whole-GEMM index-domain compute via indicator-plane BLAS products.
+    """Whole-GEMM index-domain compute: one dense product of decoded operands.
 
-    Implements the bincount / indicator-product formulation described in
-    the module docstring: the nine cross products of the three activation
-    planes against the three weight planes are evaluated by one stacked
-    matrix multiply, outlier pairs by masked direct MACs on the decoded
-    centroids.  Produces the same values as the scalar engine up to
-    floating-point round-off and bit-identical operation statistics.
+    Implements the decode-then-contract identity of the module docstring:
+    each GEMM is one ``decode(A) @ decode(W)`` product on the 16-bit
+    centroids, which equals the Eq. 3-6 histograms plus the outlier MACs
+    up to floating-point round-off, and the operation statistics come
+    from the Gaussian masks alone, bit-identical to the scalar engine.
 
     The computation is staged so backends can swap the dense products
-    without touching the formulation: :meth:`_build_planes` (NumPy),
-    :meth:`_product` / :meth:`_batched_product` (the backend seam — the
-    only floating-point GEMMs in the engine), then value combination and
-    the exact integer statistics (NumPy again, derived from the indicator
-    planes alone).  Any backend therefore reports *identical*
-    :class:`IndexComputeStats` to this oracle by construction.
+    without touching the formulation: :meth:`_build_planes` (NumPy
+    decode), :meth:`_product` / :meth:`_batched_product` (the backend
+    seam — the only floating-point GEMMs in the engine), then
+    :meth:`_stats_from_planes` (NumPy integer arithmetic).  Any backend
+    therefore reports *identical* :class:`IndexComputeStats` to this
+    oracle by construction.
     """
 
     # ------------------------------------------------------------------ #
@@ -814,17 +656,17 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
         """One batched ``(B, R, K) @ (B, K, C)`` product on this backend."""
         return np.matmul(lhs, rhs)
 
-    def _plane_operand(self, plane_set: PlaneSet, slot: str, array: np.ndarray) -> Any:
-        """Backend hook: may return a device-resident handle for ``array``.
+    def _weight_operand(self, plane_set: PlaneSet) -> Any:
+        """Backend hook: may return a device-resident handle for ``plane_set.dec``.
 
         The NumPy oracle returns the host array unchanged; the torch
-        backend pins cached plane arrays on its device (uploaded once,
+        backend pins cached decoded weights on its device (uploaded once,
         reused every GEMM that touches the plane set).
         """
-        return array
+        return plane_set.dec
 
     # ------------------------------------------------------------------ #
-    # Stages of the indicator-plane formulation
+    # Operand resolution
     # ------------------------------------------------------------------ #
     def _build_plane_set(
         self,
@@ -833,42 +675,26 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
         shape: Tuple[int, int],
         dictionary: TensorDictionary,
     ) -> PlaneSet:
-        """Build one operand's planes elementwise (always NumPy).
-
-        The symbol-mapped exponential plane ``P = theta * (a**i + b)``
-        masked to Gaussian entries (folding the offset b up front merges
-        the SoI/SoA1/SoW1/PoM1 products into a single block:
-        ``P @ Q = U@V + b*(U@R + T@V) + b^2 * T@R``), plus the Gaussian
-        indicator plane ``G``.
-        """
+        """Decode one operand to its 16-bit centroids (always NumPy)."""
         encoded = tensor.encoded
-        out = encoded.is_outlier.reshape(shape)
-        g = (~out).astype(np.float64)
-        p = (
-            encoded.sign.reshape(shape).astype(np.float64)
-            * (self.half_bases[encoded.gaussian_index.reshape(shape)] + self.b)
-            * g
-        )
         return PlaneSet(
-            p=p,
-            g=g,
-            out=out,
+            dec=dictionary.decode(encoded, apply_fixed_point=False).reshape(shape),
+            out=encoded.is_outlier.reshape(shape),
             role=role,
             fit_key=self._fit_key,
-            dictionary=dictionary,
-            encoded=encoded,
         )
 
     def _plane_set(
         self, tensor: QuantizedTensor, role: str, shape: Tuple[int, int]
     ) -> PlaneSet:
-        """Resolve one operand's planes: attached → digest cache → build.
+        """Resolve one decoded operand: attached → digest cache → build.
 
-        An operand carrying pre-built planes (``tensor._plane_sets`` — the
-        KV cache's incremental slabs) wins when its fit and shape match.
-        Otherwise the weight (``rhs``) role consults the process plane
-        cache keyed by the tensor's content digest; activations are built
-        fresh (they change every call, hashing them would only add cost).
+        An operand carrying a pre-built plane set (``tensor._plane_sets``
+        — the KV cache's incremental slabs) wins when its fit and shape
+        match.  Otherwise the weight (``rhs``) role consults the process
+        plane cache keyed by the tensor's content digest; activations are
+        decoded fresh (they change every call, hashing them would only
+        add cost).
         """
         cache = get_plane_cache()
         attached = getattr(tensor, "_plane_sets", None)
@@ -895,87 +721,29 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
 
     def _build_planes(
         self, activations: QuantizedTensor, weights: QuantizedTensor
-    ) -> _IndicatorPlanes:
-        """Indicator planes of one GEMM, each side resolved through the cache."""
+    ) -> Tuple[PlaneSet, PlaneSet]:
+        """The decoded ``(lhs, rhs)`` operands of one GEMM, via the cache."""
         m_rows, n_cols = _check_matmul_shapes(activations, weights)
         k_len = activations.shape[1]
-        return _IndicatorPlanes(
-            act=self._plane_set(activations, "lhs", (m_rows, k_len)),
-            wgt=self._plane_set(weights, "rhs", (k_len, n_cols)),
+        return (
+            self._plane_set(activations, "lhs", (m_rows, k_len)),
+            self._plane_set(weights, "rhs", (k_len, n_cols)),
         )
 
-    def _stacked_product(self, planes: _IndicatorPlanes) -> np.ndarray:
-        """The ``(2M, 2N)`` stacked plane product, rhs possibly device-resident."""
-        rhs = self._plane_operand(planes.wgt, "stacked", planes.wgt.stacked)
-        return self._product(planes.act.stacked, rhs)
-
-    def _outlier_values(
-        self,
-        activations: QuantizedTensor,
-        weights: QuantizedTensor,
-        planes: _IndicatorPlanes,
-    ) -> Optional[np.ndarray]:
-        """Masked direct MACs on the decoded 16-bit centroids (the OPP).
-
-        ``(A outlier, any W)`` plus ``(A Gaussian, W outlier)`` covers
-        every pair in which either operand is an outlier, exactly once.
-        Returns ``None`` when no operand holds outliers.  The decoded
-        centroids live on the plane sets, so a cached weight decodes once
-        across every GEMM that touches it.
-        """
-        act, wgt = planes.act, planes.wgt
-        if not (act.has_outliers or wgt.has_outliers):
-            return None
-        contribution: Optional[np.ndarray] = None
-        if act.has_outliers:
-            contribution = self._product(
-                act.dec_out, self._plane_operand(wgt, "dec", wgt.dec)
-            )
-        if wgt.has_outliers:
-            second = self._product(
-                act.dec_gauss, self._plane_operand(wgt, "dec_out", wgt.dec_out)
-            )
-            contribution = second if contribution is None else contribution + second
-        return contribution
-
-    def _combine_values(
-        self,
-        planes: _IndicatorPlanes,
-        prod: np.ndarray,
-        outlier_values: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Eq. 3-6 per output, all at once, from the stacked plane product.
-
-        ``prod`` is the ``(2M, 2N)`` product of :attr:`_IndicatorPlanes.lhs`
-        with :attr:`_IndicatorPlanes.rhs`: the SoI + SoA1 + SoW1 + PoM1
-        family (``P @ Q``), the SoA2/PoM2 family (``P @ H``), the
-        SoW2/PoM3 family (``G @ Q``) and the constant PoM4 term
-        (``G @ H``).
-        """
-        M, N = planes.m_rows, planes.n_cols
-        s_a, m_a = self.act_dict.std, self.act_dict.mean
-        s_w, m_w = self.weight_dict.std, self.weight_dict.mean
-        pq, ph = prod[:M, :N], prod[:M, N:]
-        gq, gh = prod[M:, :N], prod[M:, N:]
-        values = s_a * s_w * pq + s_a * m_w * ph + s_w * m_a * gq + m_a * m_w * gh
-        if outlier_values is not None:
-            values = values + outlier_values
-        return values
-
     def _stats_from_planes(
-        self, planes: _IndicatorPlanes, per_row_stats: bool = False
+        self, act: PlaneSet, wgt: PlaneSet, per_row_stats: bool = False
     ) -> Tuple[IndexComputeStats, Optional[List[IndexComputeStats]]]:
-        """Exact integer statistics from the indicator planes alone.
+        """Exact integer statistics from the Gaussian masks alone.
 
-        The Gaussian pair count of output ``(m, n)`` is ``(G @ H)[m, n]``;
-        summing over ``n`` first keeps the count computation
+        The Gaussian pair count of output ``(m, n)`` is
+        ``(G_A @ G_W)[m, n]``; summing over ``n`` first (the weight's
+        cached ``gauss_per_k``) keeps the count computation
         ``O(MK + KN)``.  Always NumPy integer arithmetic, so every
         backend reports identical counts.
         """
-        m_rows, n_cols, k_len = planes.m_rows, planes.n_cols, planes.k_len
-        gauss_a_int = (~planes.act.out).astype(np.int64)
-        w_gauss_per_k = planes.wgt.gauss_per_k  # (K,) — cached on the plane set
-        gaussian_per_row = gauss_a_int @ w_gauss_per_k  # (M,)
+        m_rows, k_len = act.plane_shape
+        n_cols = wgt.plane_shape[1]
+        gaussian_per_row = (~act.out).astype(np.int64) @ wgt.gauss_per_k  # (M,)
         pairs_per_row = n_cols * k_len
         gaussian_total = int(gaussian_per_row.sum())
         outlier_total = m_rows * pairs_per_row - gaussian_total
@@ -1024,13 +792,9 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
             An :class:`IndexMatmulResult` with the ``(M, N)`` values and
             exact aggregate (and optionally per-row) statistics.
         """
-        planes = self._build_planes(activations, weights)
-        # One stacked backend call yields the four plane products:
-        # rows {P, G} x cols {Q, H}.
-        prod = self._stacked_product(planes)
-        outlier_values = self._outlier_values(activations, weights, planes)
-        values = self._combine_values(planes, prod, outlier_values)
-        stats, row_stats = self._stats_from_planes(planes, per_row_stats)
+        act, wgt = self._build_planes(activations, weights)
+        values = self._product(act.dec, self._weight_operand(wgt))
+        stats, row_stats = self._stats_from_planes(act, wgt, per_row_stats)
         return IndexMatmulResult(values=values, stats=stats, row_stats=row_stats)
 
 
@@ -1048,15 +812,15 @@ def _import_torch():
 
 
 class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
-    """Indicator-plane engine with the dense products on ``torch.einsum``.
+    """Decoded-operand engine with the dense products on ``torch.einsum``.
 
-    Plane construction, value combination and the integer statistics stay
-    on NumPy — so this backend reports :class:`IndexComputeStats`
-    *identical* to the vectorized oracle by construction — while every
-    dense product (the stacked plane GEMM, batched group GEMMs and the
-    outlier MAC matmuls) runs through ``torch.einsum`` in float64 on
-    ``device``.  Values agree with the oracle to floating-point
-    round-off.
+    Decoding and the integer statistics stay on NumPy — so this backend
+    reports :class:`IndexComputeStats` *identical* to the vectorized
+    oracle by construction — while every dense product (the per-GEMM
+    product of decoded operands and the batched group GEMMs) runs
+    through ``torch.einsum`` in float64 on ``device``.  A cached decoded
+    weight is uploaded once (one ``"dec"`` slot per operand) and reused.
+    Values agree with the oracle to floating-point round-off.
 
     Args:
         activation_dictionary: Dictionary of the activation tensor.
@@ -1102,19 +866,18 @@ class TorchIndexDomainEngine(VectorizedIndexDomainEngine):
             return self._tensor(value)
         return value
 
-    def _plane_operand(self, plane_set: PlaneSet, slot: str, array: np.ndarray) -> Any:
-        """Pin cached plane arrays on the device, uploaded once per slot.
+    def _weight_operand(self, plane_set: PlaneSet) -> Any:
+        """Pin the decoded weight on the device, uploaded once.
 
         The handle lives on the :class:`PlaneSet`, so any engine instance
         targeting the same device reuses it — engines are constructed
         fresh per GEMM, the plane sets are what persist.
         """
-        key = (slot, self.device)
-        resident = plane_set.device_tensors.get(key)
+        resident = plane_set.device_tensors.get(self.device)
         cache = get_plane_cache()
         if resident is None:
-            resident = self._tensor(array)
-            plane_set.device_tensors[key] = resident
+            resident = self._tensor(plane_set.dec)
+            plane_set.device_tensors[self.device] = resident
             if cache is not None:
                 cache.note_device_upload()
         elif cache is not None:
@@ -1149,7 +912,7 @@ ENGINE_BACKENDS: Dict[str, type] = {
 #: purpose: describing the torch backend must not import torch.
 ENGINE_DESCRIPTIONS: Dict[str, str] = {
     "scalar": "faithful per-output reference engine (np.add.at histograms; tests only)",
-    "vectorized": "whole-GEMM NumPy indicator-plane BLAS engine — the correctness oracle",
+    "vectorized": "whole-GEMM NumPy engine: one BLAS product of decoded operands — the oracle",
     "torch": "optional torch einsum backend (CPU/GPU) — identical stats to the oracle",
 }
 
@@ -1295,19 +1058,22 @@ def index_domain_matmul_many(
 
     The per-head attention GEMMs of a layer — and the same projection
     GEMMs across a model's layers — share one ``(M, K, N)`` shape, so
-    their stacked indicator-plane products can be evaluated by a single
-    batched BLAS (or torch ``bmm``) call instead of one call per GEMM.
-    This function groups ``pairs`` by shape and does exactly that; the
-    per-pair scale combination, outlier MACs and exact integer statistics
-    are unchanged, so every returned :class:`IndexMatmulResult` carries
-    statistics *identical* to a per-GEMM :func:`index_domain_matmul` run
-    (values agree to floating-point round-off).
+    their decoded-operand products can be evaluated by a single batched
+    BLAS (or torch ``bmm``) call, ``np.stack(dec_A) @ np.stack(dec_W)``,
+    instead of one call per GEMM.  Pairs of one shape that share a
+    weight tensor *object* (per-head decode GEMMs across serving
+    streams) collapse further, to one GEMM of the row-concatenated
+    decoded activations against that weight.  The exact integer
+    statistics are computed per pair as in a single GEMM, so every
+    returned :class:`IndexMatmulResult` carries statistics *identical*
+    to a per-GEMM :func:`index_domain_matmul` run (values agree to
+    floating-point round-off).
 
     Args:
         pairs: Sequence of ``(activations, weights)`` quantized 2-D
             tensor pairs.  Per-pair dictionaries may differ (each tensor
-            keeps its own std/mean scales), but all must derive from the
-            same Golden Dictionary fit.
+            decodes with its own std/mean scales), but all must derive
+            from the same Golden Dictionary fit.
         engine: Registered engine name; the scalar reference has no
             batched path and falls back to per-pair execution.
         device: Optional device for backends that take one.
@@ -1346,115 +1112,47 @@ def index_domain_matmul_many(
         _check_matmul_shapes(act, weights)
         groups.setdefault((act.shape[0], act.shape[1], weights.shape[1]), []).append(index)
 
+    def finish(index: int, act: PlaneSet, wgt: PlaneSet, values: np.ndarray) -> None:
+        stats, _ = engines[index]._stats_from_planes(act, wgt)
+        results[index] = IndexMatmulResult(values=values, stats=stats)
+
     for shape_indices in groups.values():
-        if len(shape_indices) == 1:
-            only = shape_indices[0]
-            results[only] = engines[only].matmul(pairs[only][0], pairs[only][1])
-            continue
-        # Partition by weight *object* identity: pairs sharing one weight
-        # tensor (per-head decode GEMMs across serving streams) collapse
-        # to a single row-concatenated GEMM against that weight's planes.
-        # The partition depends only on the input pairs — never on cache
-        # state — so cached and uncached runs take identical code paths.
+        # Partition by weight object identity.  The partition depends only
+        # on the input pairs — never on cache state — so cached and
+        # uncached runs take identical code paths.
         shared: Dict[int, List[int]] = {}
         for i in shape_indices:
             shared.setdefault(id(pairs[i][1]), []).append(i)
         singles: List[int] = []
         for sub in shared.values():
-            if len(sub) >= 2:
-                _shared_rhs_group(engines, pairs, sub, results)
-            else:
+            if len(sub) == 1:
                 singles.extend(sub)
-        if not singles:
-            continue
+                continue
+            # One GEMM for every pair against the shared decoded weight;
+            # row-slicing the product is exact (output rows are independent).
+            operands = [engines[i]._build_planes(*pairs[i]) for i in sub]
+            first = engines[sub[0]]
+            values = first._product(
+                np.concatenate([act.dec for act, _ in operands], axis=0),
+                first._weight_operand(operands[0][1]),
+            )
+            row = 0
+            for index, (act, wgt) in zip(sub, operands):
+                rows = act.plane_shape[0]
+                finish(index, act, wgt, values[row : row + rows])
+                row += rows
         if len(singles) == 1:
             only = singles[0]
-            results[only] = engines[only].matmul(pairs[only][0], pairs[only][1])
-            continue
-        indices = singles
-        planes = [engines[i]._build_planes(pairs[i][0], pairs[i][1]) for i in indices]
-        prods = engines[indices[0]]._batched_product(
-            np.stack([p.lhs for p in planes]), np.stack([p.rhs for p in planes])
-        )
-        outlier_blocks = _batched_outlier_values(engines[indices[0]], planes)
-        for position, index in enumerate(indices):
-            outlier = None if outlier_blocks is None else outlier_blocks[position]
-            values = engines[index]._combine_values(planes[position], prods[position], outlier)
-            stats, _ = engines[index]._stats_from_planes(planes[position])
-            results[index] = IndexMatmulResult(values=values, stats=stats)
+            results[only] = engines[only].matmul(*pairs[only])
+        elif singles:
+            operands = [engines[i]._build_planes(*pairs[i]) for i in singles]
+            products = engines[singles[0]]._batched_product(
+                np.stack([act.dec for act, _ in operands]),
+                np.stack([wgt.dec for _, wgt in operands]),
+            )
+            for index, (act, wgt), values in zip(singles, operands, products):
+                finish(index, act, wgt, values)
     return results
-
-
-def _batched_outlier_values(
-    base: "VectorizedIndexDomainEngine",
-    planes: List[_IndicatorPlanes],
-) -> Optional[np.ndarray]:
-    """Batched masked outlier MACs for one same-shape group.
-
-    Pairs without outliers contribute an exactly-zero mask product, so
-    batching over the whole group is exact; skipped entirely (``None``)
-    when no pair in the group holds outliers.  Decoded centroids come
-    from the plane sets, so cached weights decode once per process.
-    """
-    if not any(p.act.has_outliers or p.wgt.has_outliers for p in planes):
-        return None
-    first = base._batched_product(
-        np.stack([p.act.dec_out for p in planes]),
-        np.stack([p.wgt.dec for p in planes]),
-    )
-    second = base._batched_product(
-        np.stack([p.act.dec_gauss for p in planes]),
-        np.stack([p.wgt.dec_out for p in planes]),
-    )
-    return first + second
-
-
-def _shared_rhs_group(
-    engines: List[IndexDomainEngine],
-    pairs,
-    indices: List[int],
-    results: List[Optional[IndexMatmulResult]],
-) -> None:
-    """One GEMM for a same-shape subgroup sharing one weight tensor object.
-
-    The stacked lhs planes of every pair are row-concatenated against the
-    single shared rhs plane set, so S streams hitting the same weight
-    slice cost one BLAS call instead of S.  Row-slicing the concatenated
-    product is exact — GEMM output rows are independent.
-    """
-    base = engines[indices[0]]
-    planes = [engines[i]._build_planes(pairs[i][0], pairs[i][1]) for i in indices]
-    wgt = planes[0].wgt
-    lhs = np.concatenate([p.act.stacked for p in planes], axis=0)
-    prod_cat = base._product(lhs, base._plane_operand(wgt, "stacked", wgt.stacked))
-    out_cat = None
-    if any(p.act.has_outliers for p in planes):
-        out_cat = base._product(
-            np.concatenate([p.act.dec_out for p in planes], axis=0),
-            base._plane_operand(wgt, "dec", wgt.dec),
-        )
-    out2_cat = None
-    if wgt.has_outliers:
-        out2_cat = base._product(
-            np.concatenate([p.act.dec_gauss for p in planes], axis=0),
-            base._plane_operand(wgt, "dec_out", wgt.dec_out),
-        )
-    row = 0
-    mrow = 0
-    for p, index in zip(planes, indices):
-        rows = p.m_rows
-        prod = prod_cat[row : row + 2 * rows]
-        outlier = None
-        if out_cat is not None:
-            outlier = out_cat[mrow : mrow + rows]
-        if out2_cat is not None:
-            second = out2_cat[mrow : mrow + rows]
-            outlier = second if outlier is None else outlier + second
-        row += 2 * rows
-        mrow += rows
-        values = engines[index]._combine_values(p, prod, outlier)
-        stats, _ = engines[index]._stats_from_planes(p)
-        results[index] = IndexMatmulResult(values=values, stats=stats)
 
 
 def vectorized_index_domain_matmul(

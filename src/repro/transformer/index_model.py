@@ -374,48 +374,40 @@ def _concat_quantized(old: QuantizedTensor, new: QuantizedTensor) -> QuantizedTe
 
 
 class _PlaneSlab:
-    """Incrementally grown indicator-plane rows for one cached K/V tensor.
+    """Incrementally grown decoded rows for one cached K/V tensor.
 
-    Plane building is elementwise, so appending one encoded row's plane
-    slice to a grown buffer produces *bit-identical* arrays to rebuilding
-    the planes from the full encoding — that is the whole correctness
-    argument, and the property tests lock it.  Buffers double in capacity
-    (amortised O(1) per appended row) and hold the symbol plane ``p``,
-    the Gaussian indicator ``g``, the outlier mask and the decoded
-    centroids for every cached row; per-head plane sets are contiguous
-    column slices of these buffers.
+    Decoding is elementwise, so appending the decode of the new encoded
+    rows to a grown buffer produces *bit-identical* arrays to decoding
+    the full encoding — that is the whole correctness argument, and the
+    property tests lock it.  Buffers double in capacity (amortised O(1)
+    per appended row) and hold the decoded centroids and the outlier mask
+    of every cached row; a per-head plane set is a column slice of the
+    decoded rows, with its ``gauss_per_k`` counted from the mask slice.
     """
 
     def __init__(self, dictionary: TensorDictionary, width: int) -> None:
         fit = dictionary.golden.fit
-        # Identical construction to IndexDomainEngine.__init__, so the
-        # slab's planes are bitwise the engine's.
-        self._half_bases = fit.a ** np.arange(fit.num_entries, dtype=np.float64)
-        self._b = float(fit.b)
         self.fit_key = (float(fit.a), float(fit.b), int(fit.num_entries))
         self._dictionary = dictionary
         self._width = int(width)
         self._rows = 0
-        capacity = 16
-        self._p = np.empty((capacity, self._width), dtype=np.float64)
-        self._g = np.empty((capacity, self._width), dtype=np.float64)
-        self._out = np.empty((capacity, self._width), dtype=bool)
-        self._dec = np.empty((capacity, self._width), dtype=np.float64)
+        self._dec = np.empty((16, self._width), dtype=np.float64)
+        self._out = np.empty((16, self._width), dtype=bool)
 
     def _ensure(self, rows: int) -> None:
-        capacity = self._p.shape[0]
+        capacity = self._dec.shape[0]
         if rows <= capacity:
             return
         while capacity < rows:
             capacity *= 2
-        for name in ("_p", "_g", "_out", "_dec"):
+        for name in ("_dec", "_out"):
             old = getattr(self, name)
             grown = np.empty((capacity, self._width), dtype=old.dtype)
             grown[: self._rows] = old[: self._rows]
             setattr(self, name, grown)
 
     def extend(self, tensor: QuantizedTensor) -> None:
-        """Append plane rows for ``tensor``'s rows beyond those already held."""
+        """Append decoded rows for ``tensor``'s rows beyond those already held."""
         total = int(tensor.shape[0])
         start = self._rows
         if total < start:
@@ -427,51 +419,36 @@ class _PlaneSlab:
             return
         self._ensure(total)
         enc = tensor.encoded
-        rows = slice(start, total)
 
         def tail(array: np.ndarray) -> np.ndarray:
-            return array.reshape(tensor.shape)[rows]
+            return np.ascontiguousarray(array.reshape(tensor.shape)[start:total])
 
-        out = tail(enc.is_outlier)
-        g = (~out).astype(np.float64)
-        self._out[rows] = out
-        self._g[rows] = g
-        self._p[rows] = (
-            tail(enc.sign).astype(np.float64)
-            * (self._half_bases[tail(enc.gaussian_index)] + self._b)
-            * g
-        )
         new = EncodedValues(
-            is_outlier=np.ascontiguousarray(out),
-            sign=np.ascontiguousarray(tail(enc.sign)),
-            gaussian_index=np.ascontiguousarray(tail(enc.gaussian_index)),
-            outlier_index=np.ascontiguousarray(tail(enc.outlier_index)),
+            is_outlier=tail(enc.is_outlier),
+            sign=tail(enc.sign),
+            gaussian_index=tail(enc.gaussian_index),
+            outlier_index=tail(enc.outlier_index),
         )
-        self._dec[rows] = self._dictionary.decode(new, apply_fixed_point=False).reshape(
-            total - start, self._width
-        )
+        self._out[start:total] = new.is_outlier
+        self._dec[start:total] = self._dictionary.decode(new, apply_fixed_point=False)
         self._rows = total
 
     def plane_set(self, columns: slice, transpose: bool = False) -> PlaneSet:
         """A weight-role :class:`PlaneSet` over ``columns`` of every row.
 
-        Contiguous copies of the slab slices (transposed for the K side):
-        the GEMM then consumes arrays byte-identical to the full-rebuild
-        path's, so cached and uncached runs make the same BLAS calls.
+        The plane set copies the decoded slice into a contiguous array
+        (transposed for the K side): the GEMM then consumes an array
+        byte-identical to the full-rebuild path's, so cached and uncached
+        runs make the same BLAS calls.
         """
         rows = self._rows
 
         def pick(buffer: np.ndarray) -> np.ndarray:
             matrix = buffer[:rows, columns]
-            return np.ascontiguousarray(matrix.T if transpose else matrix)
+            return matrix.T if transpose else matrix
 
         return PlaneSet(
-            p=pick(self._p),
-            g=pick(self._g),
-            out=pick(self._out),
-            role="rhs",
-            fit_key=self.fit_key,
-            dec=pick(self._dec),
+            dec=pick(self._dec), out=pick(self._out), role="rhs", fit_key=self.fit_key
         )
 
 
@@ -487,12 +464,12 @@ class IndexKVCache:
     would pay.
 
     With ``incremental_planes`` (the default) the cache also maintains a
-    :class:`_PlaneSlab` per tensor: each append builds the *new rows'*
-    indicator-plane slices once, and :meth:`head_tensors` hands the
-    engine per-head plane sets assembled from the slab — so a decode
-    step never rebuilds planes over the whole cached history.  Bit
-    identical to the rebuild path by construction (elementwise plane
-    building commutes with slicing and concatenation).
+    :class:`_PlaneSlab` per tensor: each append decodes the *new rows*
+    once, and :meth:`head_tensors` hands the engine per-head plane sets
+    sliced from the slab — so a decode step never decodes the whole
+    cached history again.  Bit identical to the rebuild path by
+    construction (elementwise decoding commutes with slicing and
+    concatenation).
     """
 
     def __init__(
@@ -568,8 +545,8 @@ class IndexKVCache:
         The key slice arrives transposed (``(head_dim, tokens)``), ready
         to be the score GEMM's right operand; the value slice is
         ``(tokens, head_dim)`` for the context GEMM.  When incremental
-        planes are on, both carry their slab-assembled plane sets, which
-        the engine picks up instead of rebuilding.
+        planes are on, both carry their slab-sliced decoded plane sets,
+        which the engine picks up instead of decoding again.
         """
         key_slice = _slice_quantized(self._keys[layer], columns, transpose=True)
         value_slice = _slice_quantized(self._values[layer], columns)
@@ -786,10 +763,10 @@ def execute_decoder(
         device: Optional device for backends that take one.
         seed: Seed for the block weights and the synthetic inputs.
         gemm_batching: Batch per-head GEMMs into single BLAS calls.
-        plane_caching: Keep weight planes in the process plane cache and
-            grow KV plane slabs incrementally (the hot path).  ``False``
-            runs the uncached oracle — bit-identical outputs and stats,
-            rebuilt planes every step.
+        plane_caching: Keep decoded weights in the process plane cache
+            and grow the decoded KV slabs incrementally (the hot path).
+            ``False`` runs the uncached oracle — bit-identical outputs
+            and stats, every operand decoded again at every step.
     """
     config = _resolve_config(model)
     if prompt_length < 1:
@@ -938,7 +915,7 @@ class MultiStreamDecoder:
     """Decodes several independent streams through one shared model.
 
     All streams share the blocks, the executor (weight encodings and
-    weight planes are quantized/built once, keyed by layer index alone)
+    decoded weights are quantized/built once, keyed by layer index alone)
     and one :class:`IndexKVCache` keyed ``(stream, layer)``.  Decode
     steps run in *lockstep*: at each step every stream contributes one
     input row, and each GEMM family is issued as one

@@ -261,13 +261,14 @@ class TestVectorizedEngine:
         n=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         act_outliers=st.sampled_from([0.0, 0.1]),
+        w_outliers=st.sampled_from([0.0, 0.05]),
     )
     def test_property_vectorized_equals_scalar(
-        self, quantizer, m, k, n, seed, act_outliers
+        self, quantizer, m, k, n, seed, act_outliers, w_outliers
     ):
         rng = np.random.default_rng(seed)
         aq, wq = _quantized_matrices(
-            quantizer, rng, m, k, n, act_outliers=act_outliers, w_outliers=0.05
+            quantizer, rng, m, k, n, act_outliers=act_outliers, w_outliers=w_outliers
         )
         scalar_values, scalar_stats = index_domain_matmul(aq, wq, engine="scalar")
         result = vectorized_index_domain_matmul(aq, wq, per_row_stats=True)

@@ -149,6 +149,16 @@ class TestMatmulMany:
             _operands(quantizer, rng, m, k, n, f"prop{seed}.{i}")
             for i, (m, k, n) in enumerate(shapes)
         ]
+        # The shared-weight path: >= 2 pairs holding one weight object (one
+        # row-concatenated GEMM) interleaved with a same-shape singleton.
+        m, k, n = (int(v) for v in rng.integers(2, 9, size=3))
+        shared = _operands(quantizer, rng, m, k, n, f"shared{seed}")[1]
+        sharing = [
+            (_operands(quantizer, rng, m, k, n, f"shared{seed}.{i}")[0], shared)
+            for i in range(2 + seed % 2)
+        ]
+        lone = _operands(quantizer, rng, m, k, n, f"lone{seed}")
+        pairs += [sharing[0], lone, *sharing[1:]]
         for (aq, wq), result in zip(pairs, index_domain_matmul_many(pairs)):
             values, stats = index_domain_matmul(aq, wq)
             assert result.stats == stats

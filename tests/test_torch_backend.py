@@ -1,8 +1,9 @@
 """Parity tests for the optional torch index-domain engine.
 
-The torch backend replaces only the floating-point indicator-plane GEMMs
-(``einsum``); the integer statistics are computed from the NumPy planes
-in the shared base class, so against the NumPy oracle the contract is:
+The torch backend replaces only the dense products of decoded operands
+(``einsum``); the integer statistics are computed from the NumPy
+Gaussian masks in the shared base class, so against the NumPy oracle
+the contract is:
 
 * **identical** :class:`~repro.core.index_compute.IndexComputeStats`
   (not approximately — by construction), and
