@@ -368,10 +368,12 @@ def replay_decode_streams(
     A thin serving-facing wrapper over
     :class:`~repro.transformer.index_model.MultiStreamDecoder` (imported
     lazily so the serving package stays importable without the
-    transformer stack): all streams share quantized weights, weight
-    planes and the plane cache, and each decode step issues one batched
-    GEMM call per GEMM family across streams.  Stream 0 reproduces a
-    solo ``execute_decoder`` run with the same seed.
+    transformer stack), the decoder's one prefill/decode loop: all
+    streams share quantized weights, weight planes and the plane cache,
+    and each pass issues one batched GEMM call per GEMM family across
+    streams.  ``execute_decoder`` is the one-stream case; stream 0 here
+    matches it with the same seed (exactly at one stream, to round-off
+    at more, with identical integer statistics).
     """
     from repro.transformer.index_model import GPT_DECODER_CONFIG, MultiStreamDecoder
 

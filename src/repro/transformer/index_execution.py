@@ -257,52 +257,59 @@ class IndexDomainEncoderExecutor:
         self,
         measurements: Dict[str, GemmMeasurement],
         specs: Sequence[Tuple[str, Linear]],
-        x2d: np.ndarray,
+        inputs: Sequence[np.ndarray],
         layer_key: Optional[Hashable],
-    ) -> List[np.ndarray]:
-        """Shape-matched projections of one input, batched when enabled.
+    ) -> List[List[np.ndarray]]:
+        """Projections of several inputs by shared weights, batched when enabled.
 
-        All projections in ``specs`` consume the same activation matrix,
-        so the batched path quantizes it once and evaluates the group
-        with one batched engine call.  The per-GEMM path quantizes the
-        same values under each projection's label — dictionary fitting is
-        deterministic in the values, so both paths produce identical
-        encodings and therefore identical statistics.
+        Returns ``outputs[i][p]``, input ``i`` through ``specs[p]``.  The
+        batched path quantizes each input once and each weight once, then
+        evaluates every (input, projection) pair with one batched engine
+        call, in which the pairs sharing a weight collapse to one
+        row-concatenated GEMM.  The per-GEMM path quantizes an input under
+        each projection's label — dictionary fitting is deterministic in
+        the values, so both paths produce identical encodings and
+        therefore identical statistics.
         """
-        if not self.gemm_batching or len(specs) == 1:
+        if not self.gemm_batching:
             return [
-                self._gemm(measurements, name, x2d, linear.weight, layer_key)
-                + linear.bias
-                for name, linear in specs
+                [
+                    self._gemm(measurements, name, x2d, linear.weight, layer_key)
+                    + linear.bias
+                    for name, linear in specs
+                ]
+                for x2d in inputs
             ]
         started = time.perf_counter()
-        xq = self._quantize_activation(f"{specs[0][0]}.in", x2d)
-        x_seconds = time.perf_counter() - started
-        quantized = []
-        for name, linear in specs:
-            wq, w_seconds = self._quantize_weight(name, linear.weight, layer_key)
-            quantized.append((wq, w_seconds))
+        xqs = [self._quantize_activation(f"{specs[0][0]}.in", x2d) for x2d in inputs]
+        x_share = (time.perf_counter() - started) / len(specs)
+        weights = [
+            self._quantize_weight(name, linear.weight, layer_key) for name, linear in specs
+        ]
 
         engine_started = time.perf_counter()
         results = index_domain_matmul_many(
-            [(xq, wq) for wq, _ in quantized],
+            [(xq, wq) for xq in xqs for wq, _ in weights],
             engine=self.engine_cls,
             device=self.device,
         )
         engine_share = (time.perf_counter() - engine_started) / len(specs)
 
-        outputs = []
-        x_share = x_seconds / len(specs)
-        for (name, linear), (wq, w_seconds), result in zip(specs, quantized, results):
-            record = self._record(
-                measurements, name, (x2d.shape[0], x2d.shape[1], linear.weight.shape[1])
-            )
-            record.count += 1
-            record.stats.merge(result.stats)
+        rows, width = inputs[0].shape
+        for p, ((name, linear), (_wq, w_seconds)) in enumerate(zip(specs, weights)):
+            record = self._record(measurements, name, (rows, width, linear.weight.shape[1]))
+            record.count += len(inputs)
+            for result in results[p :: len(specs)]:
+                record.stats.merge(result.stats)
             record.quantize_seconds += x_share + w_seconds
             record.engine_seconds += engine_share
-            outputs.append(result.values + linear.bias)
-        return outputs
+        return [
+            [
+                result.values + linear.bias
+                for result, (_name, linear) in zip(results[i * len(specs) :], specs)
+            ]
+            for i in range(len(inputs))
+        ]
 
     def _gemm_many(
         self,
@@ -418,14 +425,14 @@ class IndexDomainEncoderExecutor:
         measurements: Dict[str, GemmMeasurement] = {}
         flat = hidden_states.reshape(batch * seq, hidden)
 
-        q, k, v = self._projection_group(
+        [(q, k, v)] = self._projection_group(
             measurements,
             [
                 ("attention.query", attn.query),
                 ("attention.key", attn.key),
                 ("attention.value", attn.value),
             ],
-            flat,
+            [flat],
             layer_key,
         )
         qh = attn._split_heads(q.reshape(batch, seq, hidden))
@@ -448,13 +455,13 @@ class IndexDomainEncoderExecutor:
             # The two relative projections are ordinary weight GEMMs; the
             # content/position contractions against the shared embedding
             # table run in FP like the paper's analytic GEMM set assumes.
-            rel_q_flat, rel_k_flat = self._projection_group(
+            [(rel_q_flat, rel_k_flat)] = self._projection_group(
                 measurements,
                 [
                     ("attention.relative_query", attn.relative_query),
                     ("attention.relative_key", attn.relative_key),
                 ],
-                flat,
+                [flat],
                 layer_key,
             )
             rel_q = rel_q_flat.reshape(batch, seq, hidden)

@@ -11,16 +11,19 @@ every GEMM in the index domain; this module scales that to whole models:
   is quantized exactly once per model, and shape-matched GEMMs inside a
   layer run as single batched BLAS calls.  The FP forward of the same
   blocks is the accuracy oracle at every depth.
-* :class:`IndexKVCache` / :func:`execute_decoder` — a GPT-style decoder
-  attention path.  The cache stores the *encoded* K/V rows: dictionaries
-  are fit once at prefill and reused verbatim for every appended decode
-  row, so the growing cache stays one valid
+* :class:`IndexKVCache` / :class:`MultiStreamDecoder` — a GPT-style
+  decoder attention path.  The cache stores the *encoded* K/V rows:
+  dictionaries are fit once at prefill and reused verbatim for every
+  appended decode row, so the growing cache stays one valid
   :class:`~repro.core.quantizer.QuantizedTensor` per tensor and per-head
   slices share the dictionary (the index-domain engine requires both).
   Each decode step quantizes only the new query/probability rows and
   multiplies them against the cached encodings — the per-step work the
-  accelerator would do.  A floating-point decoder with an FP KV cache,
-  fed the identical synthetic inputs, is the correctness oracle.
+  accelerator would do.  There is one decode loop,
+  :meth:`MultiStreamDecoder.run`, over one layer function for S streams
+  in lockstep; :func:`execute_decoder` is stream 0 of a one-stream
+  decoder, exact at S = 1.  A floating-point decoder with an FP KV
+  cache, fed the identical synthetic inputs, is the correctness oracle.
 
 Sequential layer dependencies mean a single forward can only batch
 *independent* GEMMs into one BLAS call (per-head score/context products,
@@ -609,84 +612,92 @@ class DecodeMeasurement:
         return self.stats.outlier_pair_fraction
 
 
-def _decoder_layer_index(
+def _decoder_layer(
     executor: IndexDomainEncoderExecutor,
     measurements: Dict[str, GemmMeasurement],
     cache: IndexKVCache,
-    layer: Hashable,
+    layer: int,
     block: EncoderBlock,
-    hidden2d: np.ndarray,
+    rows: List[np.ndarray],
     causal: bool,
-    weight_key: Optional[Hashable] = None,
-) -> np.ndarray:
-    """One decoder layer over ``(tokens, hidden)`` rows, KV from the cache.
+) -> List[np.ndarray]:
+    """One decoder layer for every stream; ``rows[s]`` are stream ``s``'s rows.
 
-    ``causal=True`` is the prefill pass (all prompt rows at once, upper
-    triangle masked); ``causal=False`` is a decode step (one new row
-    attending to the whole cache).  ``weight_key`` identifies this block
-    in the executor's weight cache (defaults to ``layer``; multi-stream
-    callers pass the bare layer index so streams share weight encodings
-    while keeping per-stream KV keys).
+    ``causal=True`` is the prefill pass (each stream's whole prompt, upper
+    triangle masked, K/V dictionaries fit); ``causal=False`` is a decode
+    step (one new row per stream, appended to and attending to that
+    stream's cache).  K/V rows are cached under ``(stream, layer)``;
+    weights are keyed by ``layer`` alone, so streams share their
+    encodings.  Each stream's Q/K/V input is quantized once, the per-head
+    score and context GEMMs of all streams form one ``S x heads`` batch,
+    and every projection is one shared-weight group across streams.
     """
     attn = block.attention
-    tokens, hidden = hidden2d.shape
     heads, head_dim = attn.num_heads, attn.head_dim
-    if weight_key is None:
-        weight_key = layer
+    head_slices = [slice(h * head_dim, (h + 1) * head_dim) for h in range(heads)]
 
-    q, k, v = executor._projection_group(
+    def project(name: str, linear, inputs: List[np.ndarray]) -> List[np.ndarray]:
+        outputs = executor._projection_group(
+            measurements, [(name, linear)], inputs, layer
+        )
+        return [out for out, in outputs]
+
+    qkv = executor._projection_group(
         measurements,
         [
             ("attention.query", attn.query),
             ("attention.key", attn.key),
             ("attention.value", attn.value),
         ],
-        hidden2d,
-        weight_key,
+        rows,
+        layer,
     )
-    if layer in cache:
-        cache.append(layer, k, v)
-    else:
-        cache.prefill(layer, k, v)
-    total = cache.cached_tokens(layer)
+    head_kv = []
+    for stream, (_q, k, v) in enumerate(qkv):
+        (cache.prefill if causal else cache.append)((stream, layer), k, v)
+        head_kv.append([cache.head_tensors((stream, layer), s) for s in head_slices])
 
-    head_slices = [slice(h * head_dim, (h + 1) * head_dim) for h in range(heads)]
-    head_kv = [cache.head_tensors(layer, s) for s in head_slices]
     score_rows = executor._gemm_many_encoded(
         measurements,
         "attention.scores",
-        [(q[:, s], head_kv[h][0]) for h, s in enumerate(head_slices)],
+        [
+            (q[:, s], kv[h][0])
+            for (q, _k, _v), kv in zip(qkv, head_kv)
+            for h, s in enumerate(head_slices)
+        ],
     )
-    scores = np.stack(score_rows) / np.sqrt(head_dim)  # (heads, tokens, total)
-    if causal:
-        # Row i of the prefill may attend to cached positions 0..i only.
-        mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
-        scores = np.where(mask[None, :, :], -1e9, scores)
-    probs = softmax(scores, axis=-1)
+    probs = []
+    for stream in range(len(rows)):
+        stream_rows = score_rows[stream * heads : (stream + 1) * heads]
+        scores = np.stack(stream_rows) / np.sqrt(head_dim)  # (heads, tokens, total)
+        if causal:
+            # Row i of the prefill may attend to cached positions 0..i only.
+            tokens, total = scores.shape[1:]
+            mask = np.triu(np.ones((tokens, total), dtype=bool), k=total - tokens + 1)
+            scores = np.where(mask[None, :, :], -1e9, scores)
+        probs.append(softmax(scores, axis=-1))
 
     context_rows = executor._gemm_many_encoded(
         measurements,
         "attention.context",
-        [(probs[h], head_kv[h][1]) for h in range(heads)],
+        [(p[h], kv[h][1]) for p, kv in zip(probs, head_kv) for h in range(heads)],
     )
-    merged = np.concatenate(context_rows, axis=1)  # (tokens, hidden)
+    merged = [
+        np.concatenate(context_rows[stream * heads : (stream + 1) * heads], axis=1)
+        for stream in range(len(rows))
+    ]
 
-    attn_out = executor._projection(
-        measurements, "attention.output", merged, attn.output, weight_key
-    )
-    hidden2d = block.attention_norm(
-        (hidden2d + attn_out).astype(np.float32)[None, :, :]
-    )[0]
-
-    inter = gelu(
-        executor._projection(
-            measurements, "ffn.intermediate", hidden2d, block.ffn.intermediate, weight_key
-        )
-    )
-    ffn_out = executor._projection(
-        measurements, "ffn.output", inter, block.ffn.output, weight_key
-    )
-    return block.output_norm((hidden2d + ffn_out).astype(np.float32)[None, :, :])[0]
+    attn_out = project("attention.output", attn.output, merged)
+    hidden = [
+        block.attention_norm((x + a).astype(np.float32)[None])[0]
+        for x, a in zip(rows, attn_out)
+    ]
+    inter = [gelu(x) for x in project("ffn.intermediate", block.ffn.intermediate, hidden)]
+    ffn_out = project("ffn.output", block.ffn.output, inter)
+    return [
+        block.output_norm((x + f).astype(np.float32)[None])[0]
+        for x, f in zip(hidden, ffn_out)
+    ]
 
 
 def _decoder_layer_fp(
@@ -704,11 +715,11 @@ def _decoder_layer_fp(
     q = hidden2d @ attn.query.weight + attn.query.bias
     k = hidden2d @ attn.key.weight + attn.key.bias
     v = hidden2d @ attn.value.weight + attn.value.bias
-    if layer in fp_cache:
+    if causal:
+        fp_cache[layer] = (k, v)
+    else:
         old_k, old_v = fp_cache[layer]
         fp_cache[layer] = (np.concatenate([old_k, k]), np.concatenate([old_v, v]))
-    else:
-        fp_cache[layer] = (k, v)
     all_k, all_v = fp_cache[layer]
     total = all_k.shape[0]
 
@@ -729,147 +740,8 @@ def _decoder_layer_fp(
     return block.output_norm((hidden2d + ffn_out).astype(np.float32)[None])[0]
 
 
-def execute_decoder(
-    model: Union[str, TransformerConfig] = GPT_DECODER_CONFIG,
-    prompt_length: int = 16,
-    decode_tokens: int = 8,
-    num_layers: Optional[int] = None,
-    quantizer: Optional[MokeyQuantizer] = None,
-    engine: str = "vectorized",
-    device: Optional[str] = None,
-    seed: int = 0,
-    gemm_batching: bool = True,
-    plane_caching: bool = True,
-) -> DecodeMeasurement:
-    """Run a GPT-style decoder with an index-domain KV cache.
-
-    Prefill processes the whole synthetic prompt causally (every GEMM in
-    the index domain, K/V dictionaries fit once per layer), then each of
-    ``decode_tokens`` autoregressive steps quantizes one new input row
-    per layer, appends its K/V rows to the encoded cache and attends
-    against the full cache.  Both paths — index-domain and the FP oracle
-    with an FP KV cache — consume identical synthetic inputs, so
-    ``output_rms_error`` isolates the quantization error of the cached
-    attention path.
-
-    Args:
-        model: Decoder configuration (defaults to a GPT-2-small shape)
-            or a model-zoo name.
-        prompt_length: Prompt tokens processed at prefill.
-        decode_tokens: Autoregressive steps to execute.
-        num_layers: Optional depth cap (tests and tiny benches).
-        quantizer: Shared tensor quantizer; generated if omitted.
-        engine: Registered engine name.
-        device: Optional device for backends that take one.
-        seed: Seed for the block weights and the synthetic inputs.
-        gemm_batching: Batch per-head GEMMs into single BLAS calls.
-        plane_caching: Keep decoded weights in the process plane cache
-            and grow the decoded KV slabs incrementally (the hot path).
-            ``False`` runs the uncached oracle — bit-identical outputs
-            and stats, every operand decoded again at every step.
-    """
-    config = _resolve_config(model)
-    if prompt_length < 1:
-        raise ValueError(f"prompt_length must be >= 1, got {prompt_length}")
-    if decode_tokens < 0:
-        raise ValueError(f"decode_tokens must be >= 0, got {decode_tokens}")
-    depth = config.num_layers if num_layers is None else num_layers
-    depth = min(depth, config.num_layers)
-    if depth < 1:
-        raise ValueError(f"num_layers must be >= 1, got {depth}")
-
-    blocks = [_build_block(config, seed + 10 * layer) for layer in range(depth)]
-    executor = IndexDomainEncoderExecutor(
-        quantizer=quantizer,
-        engine=engine,
-        device=device,
-        cache_weights=True,
-        gemm_batching=gemm_batching,
-    )
-    cache = IndexKVCache(executor.quantizer, incremental_planes=plane_caching)
-    fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
-    measurements: Dict[str, GemmMeasurement] = {}
-    rng = np.random.default_rng(seed + 7919)
-
-    index_outputs: List[np.ndarray] = []
-    fp_outputs: List[np.ndarray] = []
-
-    scope = contextlib.nullcontext() if plane_caching else use_plane_cache(None)
-    with scope:
-        plane_cache = get_plane_cache()
-        cache_before = None if plane_cache is None else plane_cache.stats()
-
-        # --- Prefill: the whole prompt, causally masked ----------------- #
-        prompt = rng.normal(0.0, 1.0, size=(prompt_length, config.hidden_size)).astype(
-            np.float32
-        )
-        started = time.perf_counter()
-        states = prompt
-        for layer, block in enumerate(blocks):
-            states = _decoder_layer_index(
-                executor, measurements, cache, layer, block, states, causal=True
-            )
-        prefill_seconds = time.perf_counter() - started
-        index_outputs.append(states)
-
-        fp_states = prompt
-        for layer, block in enumerate(blocks):
-            fp_states = _decoder_layer_fp(block, fp_cache, layer, fp_states, causal=True)
-        fp_outputs.append(fp_states)
-
-        # --- Decode: one synthetic input row per step ------------------- #
-        decode_started = time.perf_counter()
-        fp_pending: List[np.ndarray] = []
-        for _step in range(decode_tokens):
-            row = rng.normal(0.0, 1.0, size=(1, config.hidden_size)).astype(np.float32)
-            states = row
-            for layer, block in enumerate(blocks):
-                states = _decoder_layer_index(
-                    executor, measurements, cache, layer, block, states, causal=False
-                )
-            index_outputs.append(states)
-            fp_pending.append(row)
-        decode_seconds = time.perf_counter() - decode_started
-        cache_delta = (
-            None
-            if cache_before is None
-            else get_plane_cache().stats().minus(cache_before)
-        )
-
-    for row in fp_pending:
-        fp_states = row
-        for layer, block in enumerate(blocks):
-            fp_states = _decoder_layer_fp(block, fp_cache, layer, fp_states, causal=False)
-        fp_outputs.append(fp_states)
-
-    index_all = np.concatenate(index_outputs, axis=0)
-    fp_all = np.concatenate(fp_outputs, axis=0)
-    fp_rms = float(np.sqrt(np.mean(np.square(fp_all)))) or 1.0
-    rms_error = float(np.sqrt(np.mean(np.square(index_all - fp_all)))) / fp_rms
-
-    gemms = list(measurements.values())
-    stats = IndexComputeStats()
-    for gemm in gemms:
-        stats.merge(gemm.stats)
-    return DecodeMeasurement(
-        model=config.name,
-        prompt_length=prompt_length,
-        decode_tokens=decode_tokens,
-        num_layers=depth,
-        gemms=gemms,
-        stats=stats,
-        prefill_seconds=prefill_seconds,
-        decode_seconds=decode_seconds,
-        tokens_per_second=(decode_tokens / decode_seconds) if decode_seconds else 0.0,
-        output_rms_error=rms_error,
-        cached_tokens=cache.cached_tokens(0),
-        outputs=index_all,
-        plane_cache=cache_delta,
-    )
-
-
 # --------------------------------------------------------------------------- #
-# Multi-stream lockstep decoding (independent GEMMs batched across streams)
+# The decode loop: S streams in lockstep (execute_decoder is S = 1)
 # --------------------------------------------------------------------------- #
 @dataclass
 class MultiStreamDecodeMeasurement:
@@ -883,8 +755,8 @@ class MultiStreamDecodeMeasurement:
         num_layers: Decoder layers executed.
         gemms: Per-GEMM measurements merged over prefill and all steps.
         stats: Operation counts merged over every GEMM.
-        prefill_seconds: Wall time of all prefill passes.
-        decode_seconds: Wall time of the lockstep decode loop.
+        prefill_seconds: Wall time of the prefill pass.
+        decode_seconds: Wall time of the lockstep decode steps.
         tokens_per_second: Aggregate decode throughput
             (``num_streams * decode_tokens / decode_seconds``).
         per_stream_tokens_per_second: Decode throughput of one stream.
@@ -914,20 +786,25 @@ class MultiStreamDecodeMeasurement:
 class MultiStreamDecoder:
     """Decodes several independent streams through one shared model.
 
-    All streams share the blocks, the executor (weight encodings and
-    decoded weights are quantized/built once, keyed by layer index alone)
-    and one :class:`IndexKVCache` keyed ``(stream, layer)``.  Decode
-    steps run in *lockstep*: at each step every stream contributes one
-    input row, and each GEMM family is issued as one
-    ``index_domain_matmul_many`` call across streams — the projections
-    share their weight tensor, so S streams collapse to one
-    row-concatenated BLAS call; the per-head score/context GEMMs batch
-    as ``S x heads`` same-shape products.
+    This is the decoder's only prefill/decode loop; :func:`execute_decoder`
+    is stream 0 of a one-stream instance.  All streams share the blocks
+    and the executor (weight encodings and decoded weights are built
+    once, keyed by layer index alone).  Every :meth:`run` starts a fresh
+    :class:`IndexKVCache` keyed ``(stream, layer)`` (kept as
+    :attr:`cache` afterwards), prefills every stream in one pass and then
+    decodes in *lockstep*: at each step every stream contributes one input
+    row, and each GEMM family of a layer is issued as one
+    ``index_domain_matmul_many`` call across streams (see
+    :func:`_decoder_layer`) — the projections share their weight tensor,
+    so S streams collapse to one row-concatenated BLAS call; the per-head
+    score/context GEMMs batch as ``S x heads`` same-shape products.
 
-    Stream ``s`` consumes the inputs ``default_rng(seed + 7919 +
-    104729 * s)`` would feed a solo decoder, so stream 0 reproduces
-    :func:`execute_decoder` with the same seed (values agree to
-    floating-point round-off; GEMM grouping differs).
+    Stream ``s`` consumes the inputs of ``default_rng(seed + 7919 +
+    104729 * s)``.  With one stream the GEMM grouping is the solo
+    decoder's, so outputs are exact; with more streams stream 0 agrees
+    with the one-stream run to floating-point round-off (shared weights
+    turn its projections into row-concatenated GEMMs), and the integer
+    statistics of every stream are identical.
     """
 
     def __init__(
@@ -963,113 +840,51 @@ class MultiStreamDecoder:
             cache_weights=True,
             gemm_batching=gemm_batching,
         )
-        self.cache = IndexKVCache(
-            self.executor.quantizer, incremental_planes=plane_caching
-        )
+        self.cache: Optional[IndexKVCache] = None
 
-    def _decode_step(
-        self,
-        measurements: Dict[str, GemmMeasurement],
-        layer: int,
-        block: EncoderBlock,
-        rows: List[np.ndarray],
-    ) -> List[np.ndarray]:
-        """One decode step of one layer for every stream, GEMMs batched."""
-        executor, cache = self.executor, self.cache
-        attn = block.attention
-        heads, head_dim = attn.num_heads, attn.head_dim
-        streams = range(self.num_streams)
-
-        projected: Dict[str, List[np.ndarray]] = {}
-        for name, linear in (
-            ("attention.query", attn.query),
-            ("attention.key", attn.key),
-            ("attention.value", attn.value),
-        ):
-            wq, w_seconds = executor._quantize_weight(name, linear.weight, layer)
-            outs = executor._gemm_many_encoded(
-                measurements, name, [(rows[s], wq) for s in streams]
-            )
-            measurements[name].quantize_seconds += w_seconds
-            projected[name] = [out + linear.bias for out in outs]
-        qs = projected["attention.query"]
-
-        for s in streams:
-            cache.append((s, layer), projected["attention.key"][s],
-                         projected["attention.value"][s])
-
-        head_slices = [slice(h * head_dim, (h + 1) * head_dim) for h in range(heads)]
-        head_kv = [
-            [cache.head_tensors((s, layer), sl) for sl in head_slices] for s in streams
-        ]
-        score_rows = executor._gemm_many_encoded(
-            measurements,
-            "attention.scores",
-            [
-                (qs[s][:, sl], head_kv[s][h][0])
-                for s in streams
-                for h, sl in enumerate(head_slices)
-            ],
-        )
-        probs: List[np.ndarray] = []
-        for s in streams:
-            scores = np.stack(score_rows[s * heads : (s + 1) * heads]) / np.sqrt(
-                head_dim
-            )
-            probs.append(softmax(scores, axis=-1))
-
-        context_rows = executor._gemm_many_encoded(
-            measurements,
-            "attention.context",
-            [(probs[s][h], head_kv[s][h][1]) for s in streams for h in range(heads)],
-        )
-        merged = [
-            np.concatenate(context_rows[s * heads : (s + 1) * heads], axis=1)
-            for s in streams
-        ]
-
-        def shared_projection(
-            name: str, linear, inputs: List[np.ndarray]
-        ) -> List[np.ndarray]:
-            wq, w_seconds = executor._quantize_weight(name, linear.weight, layer)
-            outs = executor._gemm_many_encoded(
-                measurements, name, [(inputs[s], wq) for s in streams]
-            )
-            measurements[name].quantize_seconds += w_seconds
-            return [out + linear.bias for out in outs]
-
-        attn_out = shared_projection("attention.output", attn.output, merged)
-        hidden = [
-            block.attention_norm((rows[s] + attn_out[s]).astype(np.float32)[None])[0]
-            for s in streams
-        ]
-        inter = [
-            gelu(values)
-            for values in shared_projection(
-                "ffn.intermediate", block.ffn.intermediate, hidden
-            )
-        ]
-        ffn_out = shared_projection("ffn.output", block.ffn.output, inter)
-        return [
-            block.output_norm((hidden[s] + ffn_out[s]).astype(np.float32)[None])[0]
-            for s in streams
-        ]
+    def _fp_outputs(self, inputs: List[np.ndarray]) -> np.ndarray:
+        """One stream's FP oracle: the prompt causally, then each step row."""
+        fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
+        outputs = []
+        for position, states in enumerate(inputs):
+            for layer, block in enumerate(self.blocks):
+                states = _decoder_layer_fp(
+                    block, fp_cache, layer, states, causal=position == 0
+                )
+            outputs.append(states)
+        return np.concatenate(outputs, axis=0)
 
     def run(
         self, prompt_length: int = 16, decode_tokens: int = 8
     ) -> MultiStreamDecodeMeasurement:
-        """Prefill every stream, then decode all of them in lockstep."""
+        """Prefill every stream, then decode all of them in lockstep.
+
+        The index-domain path and each stream's FP oracle (float matmuls,
+        FP KV cache) consume identical synthetic inputs, so
+        ``output_rms_error`` isolates the quantization error of the cached
+        attention path.  Only the index-domain path is timed.
+        """
         if prompt_length < 1:
             raise ValueError(f"prompt_length must be >= 1, got {prompt_length}")
         if decode_tokens < 0:
             raise ValueError(f"decode_tokens must be >= 0, got {decode_tokens}")
-        executor, cache = self.executor, self.cache
+        hidden = self.config.hidden_size
+        inputs: List[List[np.ndarray]] = []
+        for stream in range(self.num_streams):
+            rng = np.random.default_rng(self.seed + 7919 + 104729 * stream)
+            inputs.append(
+                [rng.normal(0.0, 1.0, size=(prompt_length, hidden)).astype(np.float32)]
+                + [
+                    rng.normal(0.0, 1.0, size=(1, hidden)).astype(np.float32)
+                    for _step in range(decode_tokens)
+                ]
+            )
+        self.cache = cache = IndexKVCache(
+            self.executor.quantizer, incremental_planes=self.plane_caching
+        )
         measurements: Dict[str, GemmMeasurement] = {}
-        rngs = [
-            np.random.default_rng(self.seed + 7919 + 104729 * s)
-            for s in range(self.num_streams)
-        ]
-        streams = range(self.num_streams)
+        index_outputs: List[List[np.ndarray]] = [[] for _ in inputs]
+        seconds: List[float] = []
 
         scope = (
             contextlib.nullcontext() if self.plane_caching else use_plane_cache(None)
@@ -1077,84 +892,37 @@ class MultiStreamDecoder:
         with scope:
             plane_cache = get_plane_cache()
             cache_before = None if plane_cache is None else plane_cache.stats()
-
-            prompts = [
-                rngs[s]
-                .normal(0.0, 1.0, size=(prompt_length, self.config.hidden_size))
-                .astype(np.float32)
-                for s in streams
-            ]
-            started = time.perf_counter()
-            index_outputs: List[List[np.ndarray]] = [[] for _ in streams]
-            for s in streams:
-                states = prompts[s]
+            # Position 0 is the prefill pass; every later one a decode step.
+            for position in range(decode_tokens + 1):
+                started = time.perf_counter()
+                rows = [stream[position] for stream in inputs]
                 for layer, block in enumerate(self.blocks):
-                    states = _decoder_layer_index(
-                        executor,
-                        measurements,
-                        cache,
-                        (s, layer),
-                        block,
-                        states,
-                        causal=True,
-                        weight_key=layer,
+                    rows = _decoder_layer(
+                        self.executor, measurements, cache, layer, block, rows,
+                        causal=position == 0,
                     )
-                index_outputs[s].append(states)
-            prefill_seconds = time.perf_counter() - started
-
-            decode_started = time.perf_counter()
-            step_rows: List[List[np.ndarray]] = [[] for _ in streams]
-            for _step in range(decode_tokens):
-                rows = [
-                    rngs[s]
-                    .normal(0.0, 1.0, size=(1, self.config.hidden_size))
-                    .astype(np.float32)
-                    for s in streams
-                ]
-                for s in streams:
-                    step_rows[s].append(rows[s])
-                for layer, block in enumerate(self.blocks):
-                    rows = self._decode_step(measurements, layer, block, rows)
-                for s in streams:
-                    index_outputs[s].append(rows[s])
-            decode_seconds = time.perf_counter() - decode_started
+                seconds.append(time.perf_counter() - started)
+                for outputs, row in zip(index_outputs, rows):
+                    outputs.append(row)
             cache_delta = (
                 None
                 if cache_before is None
                 else get_plane_cache().stats().minus(cache_before)
             )
 
-        # FP oracle per stream, identical inputs.
+        outputs = [np.concatenate(rows, axis=0) for rows in index_outputs]
         worst_rms = 0.0
-        outputs: List[np.ndarray] = []
-        for s in streams:
-            fp_cache: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
-            fp_outputs = []
-            fp_states = prompts[s]
-            for layer, block in enumerate(self.blocks):
-                fp_states = _decoder_layer_fp(
-                    block, fp_cache, layer, fp_states, causal=True
-                )
-            fp_outputs.append(fp_states)
-            for row in step_rows[s]:
-                fp_states = row
-                for layer, block in enumerate(self.blocks):
-                    fp_states = _decoder_layer_fp(
-                        block, fp_cache, layer, fp_states, causal=False
-                    )
-                fp_outputs.append(fp_states)
-            index_all = np.concatenate(index_outputs[s], axis=0)
-            fp_all = np.concatenate(fp_outputs, axis=0)
+        for index_all, stream_inputs in zip(outputs, inputs):
+            fp_all = self._fp_outputs(stream_inputs)
             fp_rms = float(np.sqrt(np.mean(np.square(fp_all)))) or 1.0
             rms = float(np.sqrt(np.mean(np.square(index_all - fp_all)))) / fp_rms
             worst_rms = max(worst_rms, rms)
-            outputs.append(index_all)
 
         gemms = list(measurements.values())
         stats = IndexComputeStats()
         for gemm in gemms:
             stats.merge(gemm.stats)
-        total_decoded = self.num_streams * decode_tokens
+        decode_seconds = sum(seconds[1:])
         return MultiStreamDecodeMeasurement(
             model=self.config.name,
             num_streams=self.num_streams,
@@ -1163,10 +931,12 @@ class MultiStreamDecoder:
             num_layers=self.num_layers,
             gemms=gemms,
             stats=stats,
-            prefill_seconds=prefill_seconds,
+            prefill_seconds=seconds[0],
             decode_seconds=decode_seconds,
             tokens_per_second=(
-                total_decoded / decode_seconds if decode_seconds else 0.0
+                self.num_streams * decode_tokens / decode_seconds
+                if decode_seconds
+                else 0.0
             ),
             per_stream_tokens_per_second=(
                 decode_tokens / decode_seconds if decode_seconds else 0.0
@@ -1175,3 +945,70 @@ class MultiStreamDecoder:
             outputs=outputs,
             plane_cache=cache_delta,
         )
+
+
+def execute_decoder(
+    model: Union[str, TransformerConfig] = GPT_DECODER_CONFIG,
+    prompt_length: int = 16,
+    decode_tokens: int = 8,
+    num_layers: Optional[int] = None,
+    quantizer: Optional[MokeyQuantizer] = None,
+    engine: str = "vectorized",
+    device: Optional[str] = None,
+    seed: int = 0,
+    gemm_batching: bool = True,
+    plane_caching: bool = True,
+) -> DecodeMeasurement:
+    """Run a GPT-style decoder with an index-domain KV cache.
+
+    Stream 0 of a one-stream :class:`MultiStreamDecoder` (exact: at one
+    stream its GEMM grouping is the solo decoder's).  Prefill processes
+    the whole synthetic prompt causally (every GEMM in the index domain,
+    K/V dictionaries fit once per layer), then each of ``decode_tokens``
+    autoregressive steps quantizes one new input row per layer, appends
+    its K/V rows to the encoded cache and attends against the full cache.
+    The FP oracle with an FP KV cache consumes identical inputs.
+
+    Args:
+        model: Decoder configuration (defaults to a GPT-2-small shape)
+            or a model-zoo name.
+        prompt_length: Prompt tokens processed at prefill.
+        decode_tokens: Autoregressive steps to execute.
+        num_layers: Optional depth cap (tests and tiny benches).
+        quantizer: Shared tensor quantizer; generated if omitted.
+        engine: Registered engine name.
+        device: Optional device for backends that take one.
+        seed: Seed for the block weights and the synthetic inputs.
+        gemm_batching: Batch per-head GEMMs into single BLAS calls.
+        plane_caching: Keep decoded weights in the process plane cache
+            and grow the decoded KV slabs incrementally (the hot path).
+            ``False`` runs the uncached oracle — bit-identical outputs
+            and stats, every operand decoded again at every step.
+    """
+    decoder = MultiStreamDecoder(
+        model,
+        num_streams=1,
+        num_layers=num_layers,
+        quantizer=quantizer,
+        engine=engine,
+        device=device,
+        seed=seed,
+        gemm_batching=gemm_batching,
+        plane_caching=plane_caching,
+    )
+    run = decoder.run(prompt_length, decode_tokens)
+    return DecodeMeasurement(
+        model=run.model,
+        prompt_length=prompt_length,
+        decode_tokens=decode_tokens,
+        num_layers=run.num_layers,
+        gemms=run.gemms,
+        stats=run.stats,
+        prefill_seconds=run.prefill_seconds,
+        decode_seconds=run.decode_seconds,
+        tokens_per_second=run.tokens_per_second,
+        output_rms_error=run.output_rms_error,
+        cached_tokens=decoder.cache.cached_tokens((0, 0)),
+        outputs=run.outputs[0],
+        plane_cache=run.plane_cache,
+    )

@@ -34,6 +34,7 @@ from repro.core.index_compute import (
     make_engine,
     resolve_engine,
 )
+from repro.core.quantizer import MokeyQuantizer
 from repro.experiments import MeasurementSettings, evaluate_measured
 from repro.registry import RegistryError
 from repro.transformer.config import TransformerConfig
@@ -42,6 +43,7 @@ from repro.transformer.index_model import (
     GPT_DECODER_CONFIG,
     IndexDomainModelExecutor,
     IndexKVCache,
+    MultiStreamDecoder,
     _concat_quantized,
     _slice_quantized,
     execute_decoder,
@@ -391,6 +393,48 @@ class TestExecuteDecoder:
         assert GPT_DECODER_CONFIG.name == "gpt2-small"
         assert GPT_DECODER_CONFIG.num_layers == 12
         assert "gpt2-small" not in MODEL_CONFIGS
+
+
+class TestMultiStreamDecoder:
+    def test_repeated_runs_start_from_an_empty_cache(self, quantizer):
+        decoder = MultiStreamDecoder(NANO_DECODER, num_streams=2, quantizer=quantizer)
+        first = decoder.run(prompt_length=4, decode_tokens=2)
+        second = decoder.run(prompt_length=4, decode_tokens=2)
+        assert all(np.array_equal(a, b) for a, b in zip(first.outputs, second.outputs))
+        assert first.stats == second.stats
+        assert first.output_rms_error == second.output_rms_error
+        assert decoder.cache.cached_tokens((0, 0)) == 6
+
+    @pytest.mark.parametrize("num_streams", [1, 2])
+    def test_one_activation_quantization_per_stream_and_group(
+        self, quantizer, monkeypatch, num_streams
+    ):
+        calls = []
+        quantize = MokeyQuantizer.quantize
+
+        def spy(self, *args, **kwargs):
+            calls.append(None)
+            return quantize(self, *args, **kwargs)
+
+        monkeypatch.setattr(MokeyQuantizer, "quantize", spy)
+        prompt, steps = 3, 2
+        heads, depth = NANO_DECODER.num_heads, NANO_DECODER.num_layers
+        MultiStreamDecoder(
+            NANO_DECODER, num_streams=num_streams, quantizer=quantizer
+        ).run(prompt_length=prompt, decode_tokens=steps)
+        multi_calls = len(calls)
+        # Per layer: six weights once; per pass and stream: one Q/K/V
+        # input, the K and V rows, one input per head for the score and
+        # context GEMMs, and the output/FFN inputs.
+        per_pass = 1 + 2 + 2 * heads + 3
+        assert multi_calls == depth * (6 + (1 + steps) * num_streams * per_pass)
+        if num_streams == 1:
+            calls.clear()
+            execute_decoder(
+                NANO_DECODER, prompt_length=prompt, decode_tokens=steps,
+                quantizer=quantizer,
+            )
+            assert len(calls) == multi_calls
 
 
 class TestMeasuredModelScope:

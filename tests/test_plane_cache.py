@@ -11,8 +11,9 @@ or operation counts.  This file locks that contract three ways:
    either orientation;
 2. hypothesis property tests that a plane-cached decode run equals the
    uncached oracle exactly — outputs ``array_equal``, stats ``==`` —
-   across prompt lengths, decode depths and dictionary fits, plus fixed
-   parametrised cases across the scalar / vectorized / torch engines;
+   across prompt lengths, decode depths, stream counts and dictionary
+   fits, plus fixed parametrised cases across the scalar / vectorized /
+   torch engines;
 3. unit tests of the :class:`~repro.core.index_compute.PlaneCache`
    itself — LRU eviction under a byte budget, counters, the scoped
    override, and the digest/attached resolution order.
@@ -141,10 +142,11 @@ class TestDecodeBitIdentity:
         prompt_length=st.integers(min_value=1, max_value=5),
         decode_tokens=st.integers(min_value=0, max_value=3),
         seed=st.integers(min_value=0, max_value=50),
+        num_streams=st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=10, deadline=None)
     def test_cached_decode_equals_uncached(
-        self, quantizer, prompt_length, decode_tokens, seed
+        self, quantizer, prompt_length, decode_tokens, seed, num_streams
     ):
         kwargs = dict(
             prompt_length=prompt_length,
@@ -158,6 +160,21 @@ class TestDecodeBitIdentity:
         assert cached.stats == uncached.stats
         assert cached.output_rms_error == uncached.output_rms_error
         assert uncached.plane_cache is None
+
+        cached, uncached = (
+            MultiStreamDecoder(
+                MICRO_DECODER,
+                num_streams=num_streams,
+                quantizer=quantizer,
+                seed=seed,
+                plane_caching=plane_caching,
+            ).run(prompt_length, decode_tokens)
+            for plane_caching in (True, False)
+        )
+        assert len(cached.outputs) == len(uncached.outputs) == num_streams
+        for ours, oracle in zip(cached.outputs, uncached.outputs):
+            assert np.array_equal(ours, oracle)
+        assert cached.stats == uncached.stats
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized", "torch"])
     def test_cached_decode_equals_uncached_per_engine(self, quantizer, engine):
@@ -175,15 +192,22 @@ class TestDecodeBitIdentity:
         assert np.array_equal(cached.outputs, uncached.outputs)
         assert cached.stats == uncached.stats
 
-    def test_multi_stream_stream0_matches_solo_decoder(self, quantizer):
+    @pytest.mark.parametrize("num_streams", [1, 3])
+    def test_multi_stream_stream0_matches_solo_decoder(self, quantizer, num_streams):
         solo = execute_decoder(
             MICRO_DECODER, prompt_length=4, decode_tokens=2, quantizer=quantizer
         )
         multi = MultiStreamDecoder(
-            MICRO_DECODER, num_streams=3, quantizer=quantizer
+            MICRO_DECODER, num_streams=num_streams, quantizer=quantizer
         ).run(prompt_length=4, decode_tokens=2)
-        assert multi.outputs is not None and len(multi.outputs) == 3
-        assert np.allclose(multi.outputs[0], solo.outputs, rtol=1e-9, atol=1e-9)
+        assert multi.outputs is not None and len(multi.outputs) == num_streams
+        if num_streams == 1:
+            # One stream is the solo decoder: same GEMM grouping, exact.
+            assert np.array_equal(multi.outputs[0], solo.outputs)
+            assert multi.stats == solo.stats
+        else:
+            # Shared-weight projections become row-concatenated GEMMs.
+            assert np.allclose(multi.outputs[0], solo.outputs, rtol=1e-9, atol=1e-9)
         assert multi.tokens_per_second > 0
         assert multi.output_rms_error < 0.5
 
