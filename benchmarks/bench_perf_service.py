@@ -22,7 +22,7 @@ import time
 
 from conftest import TINY_MODE, record_perf
 
-from repro.experiments import CampaignSpec, open_store, run_spec, store_digest
+from repro.experiments import ArtifactStore, CampaignSpec, run_spec, store_digest
 from repro.service import Coordinator, ServiceClient, make_server
 
 if TINY_MODE:
@@ -55,7 +55,7 @@ def _spec_dict(name):
 
 def _timed_service_run(tmp_path, name, workers):
     """One submit→complete round through a fresh daemon + store."""
-    coordinator = Coordinator(tmp_path / name, store_backend="sqlite")
+    coordinator = Coordinator(tmp_path / name)
     server = make_server("127.0.0.1", 0, coordinator)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -66,7 +66,7 @@ def _timed_service_run(tmp_path, name, workers):
         final = client.wait(job_id, timeout=WAIT, poll=0.05)
         elapsed = time.perf_counter() - started
         assert final["state"] == "completed", final["error"]
-        digest = store_digest(open_store(tmp_path / name, backend="sqlite"))
+        digest = store_digest(ArtifactStore(tmp_path / name))
         return elapsed, final, digest
     finally:
         server.shutdown()
@@ -80,9 +80,9 @@ def test_perf_service_scaling(tmp_path):
     grid_size = len(spec.scenarios())
     oracle_root = tmp_path / "oracle"
     run_spec(
-        spec.with_execution(store=str(oracle_root), store_backend="sqlite", resume=True)
+        spec.with_execution(store=str(oracle_root), resume=True)
     )
-    oracle = store_digest(open_store(oracle_root, backend="sqlite"))
+    oracle = store_digest(ArtifactStore(oracle_root))
 
     one_seconds, one_final, one_digest = _timed_service_run(tmp_path, "svc-w1", 1)
     four_seconds, four_final, four_digest = _timed_service_run(tmp_path, "svc-w4", 4)

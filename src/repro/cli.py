@@ -2,7 +2,7 @@
 
 Drives the campaign engine (:mod:`repro.experiments`) from the shell, with
 results persisted to an on-disk :class:`~repro.experiments.store.ArtifactStore`
-so repeated runs only simulate new grid points::
+(an indexed SQLite database) so repeated runs only simulate new grid points::
 
     repro campaign run --models bert-base bert-large --designs mokey \\
         --buffer-kb 256 512 --executor process
@@ -10,13 +10,13 @@ so repeated runs only simulate new grid points::
     repro campaign resume --spec spec.json   # skip already-persisted keys
     repro campaign run --paper-workloads --with-accuracy
     repro campaign run --models bert-base --with-measured-stats
-    repro campaign run --models bert-base --store-backend sqlite
     repro campaign report --design mokey --format csv
     repro campaign report --where "total_cycles<=1e9" --order-by energy_joules --top 10
     repro campaign report --group-by model design --order-by -count
     repro campaign list
     repro campaign clean --yes
-    repro store migrate old-store new-store --to-backend sqlite
+    repro store export .repro-store records.jsonl   # one JSON line per record
+    repro store import records.jsonl new-store
     repro store stats .repro-store   # counts/coverage without payloads
     repro serve-sim --schemes mokey-oc fp16 --rate 100 --requests 10000
     repro serve-sim --trace bursty --policy max-batch --max-batch 16 --slo-ms 50
@@ -26,7 +26,7 @@ so repeated runs only simulate new grid points::
     repro status campaign-0001                # one job, sharded progress
     repro results campaign-0001 --output out.ndjson
     repro cancel campaign-0001
-    repro registry list              # the nine pluggable-axis registries
+    repro registry list              # the eight pluggable-axis registries
     repro registry list schemes      # one registry's entries, described
     repro table1                 # the paper's eight Table I fidelity rows
     repro table1 --joint         # fidelity next to speedup/energy (Table IV style)
@@ -44,11 +44,11 @@ served from disk.
 
 The store location is ``--store DIR``, the spec's execution policy, the
 ``REPRO_STORE`` environment variable, or ``./.repro-store`` in that order
-of precedence.  ``--store-backend {jsonl,sqlite}`` picks the storage
-engine (default: whatever layout the directory already holds, JSONL for
-a fresh one); with SQLite, ``campaign report``/``list`` filters,
-grouping, ordering and ``--top`` are pushed down into the database
-instead of deserializing every record.
+of precedence.  ``campaign report``/``list`` filters, grouping, ordering
+and ``--top`` run inside the database instead of deserializing every
+record.  A store directory holding only a ``records.jsonl`` log (the
+interchange format of ``repro store export``/``import``) is imported
+on first open.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from repro.analysis.fidelity import joint_rows, table1_rows
 from repro.analysis.reporting import RECORD_FORMATS, format_records
 from repro.experiments import (
     EXECUTORS,
+    ArtifactStore,
     AxisGrid,
     CampaignSpec,
     Enrichments,
@@ -74,16 +75,16 @@ from repro.experiments import (
     ScenarioRecord,
     UnsupportedSchemeError,
     available_designs,
-    available_store_backends,
+    export_jsonl,
+    import_jsonl,
     iter_campaign,
-    migrate_store,
-    open_store,
     parse_filter,
     run_spec,
     supported_accuracy_schemes,
     supports_accuracy,
 )
 from repro.experiments import SCHEMA_VERSION
+from repro.experiments.store import DEFAULT_STORE_BACKEND, JSONL_FILENAME
 from repro.registry import RegistryError, get_registry, registry_kinds
 from repro.schemes import available_schemes
 from repro.service import (
@@ -138,20 +139,10 @@ def _add_store_argument(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         help="artifact store directory (default: $REPRO_STORE or ./.repro-store)",
     )
-    parser.add_argument(
-        "--store-backend",
-        choices=available_store_backends(),
-        default=None,
-        help="storage engine for the store directory (default: whatever "
-        "layout the directory already holds, jsonl for a fresh one)",
-    )
 
 
-def _open_cli_store(args: argparse.Namespace):
-    """Open the command's store under the chosen (or detected) backend."""
-    return open_store(
-        args.store or _default_store(), backend=getattr(args, "store_backend", None)
-    )
+def _open_cli_store(args: argparse.Namespace) -> ArtifactStore:
+    return ArtifactStore(args.store or _default_store())
 
 
 def _add_format_arguments(parser: argparse.ArgumentParser) -> None:
@@ -357,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Render records from the artifact store, optionally filtered, "
             "grouped, ordered and limited. Filters, --group-by, --order-by "
-            "and --top are pushed down into the store backend — with SQLite "
-            "they run server-side over indexed columns instead of "
-            "deserializing every record."
+            "and --top run inside the store's SQLite database over indexed "
+            "columns instead of deserializing every record."
         ),
     )
     _add_store_argument(report)
@@ -417,54 +407,51 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_cmd = commands.add_parser(
         "store",
-        help="manage artifact stores (backend migration)",
+        help="manage artifact stores (JSONL export/import, stats)",
         description=(
             "Operations on artifact-store directories themselves, "
             "independent of any campaign."
         ),
     )
     store_actions = store_cmd.add_subparsers(dest="action", required=True)
-    migrate = store_actions.add_parser(
-        "migrate",
-        help="copy every record of one store into another (e.g. jsonl -> sqlite)",
+    export = store_actions.add_parser(
+        "export",
+        help="write a store's records to a JSONL log",
         description=(
-            "Stream every readable record of SOURCE into DEST, preserving "
-            "keys, insertion order and record digests exactly. Unreadable "
-            "source records are skipped and reported; keys already in DEST "
-            "merge under the normal upgrade semantics."
+            "Write every readable record of the store at DIR to OUT as "
+            "JSONL: one canonical JSON object per record, in insertion "
+            "order. Importing the log and exporting again reproduces it "
+            "byte for byte. OUT is replaced only once the export is "
+            "complete."
         ),
     )
-    migrate.add_argument("source", metavar="SOURCE", help="source store directory")
-    migrate.add_argument("dest", metavar="DEST", help="destination store directory")
-    migrate.add_argument(
-        "--from-backend",
-        choices=available_store_backends(),
-        default=None,
-        help="backend of SOURCE (default: detected from its layout)",
+    export.add_argument("path", metavar="DIR", help="store directory to export")
+    export.add_argument("output", metavar="OUT", help="JSONL file to write")
+    import_cmd = store_actions.add_parser(
+        "import",
+        help="load a JSONL log into a store",
+        description=(
+            "Load the JSONL log IN into the store at DIR in one "
+            "transaction. The last line per key wins, at the key's first "
+            "position; unreadable lines are skipped and counted, and "
+            "lines of another schema version are counted and kept as rows "
+            "of that version. Keys already in DIR merge under the normal "
+            "upgrade rules."
+        ),
     )
-    migrate.add_argument(
-        "--to-backend",
-        choices=available_store_backends(),
-        default=None,
-        help="backend of DEST (default: detected from its layout, jsonl if fresh)",
-    )
+    import_cmd.add_argument("input", metavar="IN", help="JSONL file to load")
+    import_cmd.add_argument("path", metavar="DIR", help="store directory to load into")
     stats = store_actions.add_parser(
         "stats",
         help="summarise a store without deserializing record payloads",
         description=(
-            "Report a store directory's backend, schema version, record "
-            "count, fidelity/measured coverage and skipped-line count. "
-            "Counts come from one grouped pushdown query — with SQLite "
-            "they run server-side over indexed columns, no payloads read."
+            "Report a store directory's schema version, record count, "
+            "fidelity/measured coverage and skipped-record count. Counts "
+            "come from one grouped query over indexed columns; no "
+            "payloads are read."
         ),
     )
     stats.add_argument("path", metavar="PATH", help="store directory to summarise")
-    stats.add_argument(
-        "--store-backend",
-        choices=available_store_backends(),
-        default=None,
-        help="backend of PATH (default: detected from its layout)",
-    )
     stats.add_argument(
         "--format",
         choices=("table", "json"),
@@ -478,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "The unified registry surface: every pluggable axis of the "
             "campaign grid and the serving simulator (schemes, designs, "
-            "models, tasks, engines, store backends, arrival traces, "
+            "models, tasks, engines, arrival traces, "
             "batching policies, service job states) behind one "
             "names/get/describe protocol."
         ),
@@ -932,11 +919,7 @@ def _resolve_spec_store(args: argparse.Namespace, spec: CampaignSpec) -> Campaig
     """
     if getattr(args, "no_store", False):
         return spec.with_execution(store=None)
-    changes = {"store": args.store or spec.execution.store or _default_store()}
-    backend = getattr(args, "store_backend", None)
-    if backend is not None:
-        changes["store_backend"] = backend
-    return spec.with_execution(**changes)
+    return spec.with_execution(store=args.store or spec.execution.store or _default_store())
 
 
 def _stream_records(
@@ -1027,7 +1010,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def _cmd_resume(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # Resuming is the whole point of this command, whatever the spec says.
     spec = _resolve_spec_store(args, _spec_from_args(parser, args)).with_execution(resume=True)
-    already_stored = len(open_store(spec.execution.store, backend=spec.execution.store_backend))
+    already_stored = len(ArtifactStore(spec.execution.store))
     started = time.perf_counter()
     try:
         records, last_progress = _stream_records(spec, progress_to_stderr=args.progress)
@@ -1205,23 +1188,36 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    source = open_store(args.source, backend=args.from_backend)
-    if not source.path.exists():
-        print(f"error: no {source.backend_name} store at {source.path}", file=sys.stderr)
+def _existing_store(path: str) -> Optional[ArtifactStore]:
+    """The store at ``path``, or ``None`` (reported) when there is none."""
+    store = ArtifactStore(path)
+    if store.path.exists() or (store.root / JSONL_FILENAME).exists():
+        return store
+    print(f"error: no store at {store.root}", file=sys.stderr)
+    return None
+
+
+def _cmd_store_export(args: argparse.Namespace) -> int:
+    store = _existing_store(args.path)
+    if store is None:
         return 2
-    try:
-        dest = open_store(args.dest, backend=args.to_backend)
-        stored = migrate_store(source, dest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    count = export_jsonl(store, args.output)
+    summary = f"exported {count} records: {store.root} -> {args.output}"
+    if store.skipped:
+        summary += f" [{store.skipped} unreadable records skipped]"
+    print(summary)
+    return 0
+
+
+def _cmd_store_import(args: argparse.Namespace) -> int:
+    if not os.path.isfile(args.input):
+        print(f"error: no JSONL log at {args.input}", file=sys.stderr)
         return 2
-    summary = (
-        f"migrated {stored} records: {source.root} ({source.backend_name}) "
-        f"-> {dest.root} ({dest.backend_name})"
-    )
-    if source.skipped:
-        summary += f" [{source.skipped} unreadable source records skipped]"
+    store = ArtifactStore(args.path)
+    stored, skipped = import_jsonl(args.input, store)
+    summary = f"imported {stored} records: {args.input} -> {store.root}"
+    if skipped:
+        summary += f" [{skipped} unreadable lines skipped]"
     print(summary)
     return 0
 
@@ -1241,20 +1237,18 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    store = open_store(args.path, backend=args.store_backend)
-    if not store.path.exists():
-        print(f"error: no {store.backend_name} store at {store.path}", file=sys.stderr)
+    store = _existing_store(args.path)
+    if store is None:
         return 2
-    # One grouped pushdown query yields every counter — no record payloads
-    # are deserialized (with SQLite it runs server-side over indexed
-    # columns).
+    # One grouped query over indexed columns yields every counter — no
+    # record payloads are deserialized.
     rows = store.query(group_by=("model", "design"))
     total = sum(row["count"] for row in rows)
     with_fidelity = sum(row["with_fidelity"] for row in rows)
     with_measured = sum(row["with_measured"] for row in rows)
     payload = {
         "store": str(store.root),
-        "backend": store.backend_name,
+        "backend": DEFAULT_STORE_BACKEND,
         "schema_version": SCHEMA_VERSION,
         "records": total,
         "model_design_combos": len(rows),
@@ -1286,10 +1280,7 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     store = args.store or _default_store()
-    # The service defaults to SQLite: it is the backend proven under
-    # concurrent shard writers (WAL mode, immediate-transaction retries).
-    backend = args.store_backend or "sqlite"
-    coordinator = Coordinator(store, store_backend=backend, default_workers=args.workers)
+    coordinator = Coordinator(store, default_workers=args.workers)
     try:
         server = make_server(args.host, args.port, coordinator, quiet=not args.verbose)
     except ServiceError as exc:
@@ -1298,7 +1289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.server_address[:2]
     print(
         f"repro service listening on http://{host}:{port} "
-        f"[store={store}, backend={backend}, workers={args.workers}] "
+        f"[store={store}, workers={args.workers}] "
         f"— SIGTERM/Ctrl-C drains workers and exits",
         file=sys.stderr,
         flush=True,
@@ -1517,8 +1508,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.action == "clean":
             return _cmd_clean(args)
     if args.command == "store":
-        if args.action == "migrate":
-            return _cmd_store_migrate(args)
+        if args.action == "export":
+            return _cmd_store_export(args)
+        if args.action == "import":
+            return _cmd_store_import(args)
         if args.action == "stats":
             return _cmd_store_stats(args)
     if args.command == "registry":

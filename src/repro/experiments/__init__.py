@@ -13,13 +13,13 @@ share one sweep loop instead of each re-implementing it:
 * :class:`~repro.experiments.campaign.ResultCache` — in-process,
   thread-safe result cache keyed by scenario, shared across campaigns and
   optionally layered over an on-disk store;
-* :class:`~repro.experiments.store.ArtifactStore` — content-addressed
-  JSONL store persisting results across processes, so repeated campaigns
-  only simulate new grid points; one of two pluggable
-  :class:`~repro.experiments.store.StoreBackend` implementations
-  (``open_store(root, backend=...)``) next to the indexed, WAL-mode
-  :class:`~repro.experiments.store_sqlite.SqliteStoreBackend`, which adds
-  server-side ``query()`` pushdown and concurrent shard writers;
+* :class:`~repro.experiments.store.ArtifactStore` — the content-addressed,
+  indexed WAL-mode SQLite store persisting results across processes, so
+  repeated campaigns only simulate new grid points; ``query()`` runs
+  inside SQLite and concurrent shard writers interleave safely
+  (``SqliteStoreBackend`` names the same class).  JSONL logs move in and
+  out through :func:`~repro.experiments.store.export_jsonl` /
+  :func:`~repro.experiments.store.import_jsonl`;
 * :class:`~repro.experiments.spec.CampaignSpec` — the declarative front
   door: a frozen, JSON-round-trippable experiment description (axes grid
   + enrichments + execution policy) validated against the unified
@@ -29,18 +29,17 @@ share one sweep loop instead of each re-implementing it:
   appending each to the store incrementally so a killed campaign resumes
   bit-identically by skipping persisted keys;
 * :func:`~repro.experiments.campaign.run_campaign` — the batch wrapper
-  (its enrichment/execution kwargs are deprecated in favour of specs):
-  fans the scenarios out over the chosen executor (``serial | thread |
-  process``) and returns structured
-  :class:`~repro.experiments.campaign.ScenarioRecord`
-  rows consumable by :mod:`repro.analysis.reporting`;
+  over a scenario list, returning structured
+  :class:`~repro.experiments.campaign.ScenarioRecord` rows consumable by
+  :mod:`repro.analysis.reporting` (executor, enrichments and store come
+  from a spec via :func:`~repro.experiments.spec.run_spec`);
 * :mod:`repro.experiments.accuracy` — the accuracy half of the paper's
-  joint claim: ``run_campaign(..., with_accuracy=True)`` joins a
+  joint claim: ``Enrichments(accuracy=True)`` on a spec joins a
   :class:`~repro.experiments.accuracy.FidelityResult` (task fidelity to
   the FP model, outlier fractions, compression) to every record, memoised
   per ``(model, task, scheme)`` and persisted through the store;
 * :mod:`repro.experiments.measured` — measured index-domain operation
-  counts: ``run_campaign(..., with_measured=True)`` executes one encoder
+  counts: ``Enrichments(measured=True)`` executes one encoder
   layer of each workload through the vectorized index-domain engine and
   joins a :class:`~repro.experiments.measured.MeasuredStats` (real
   Gaussian/outlier pair counts, next to the schemes' analytic ones) to
@@ -115,22 +114,15 @@ from repro.experiments.campaign import (
 from repro.experiments.store import (
     SCHEMA_VERSION,
     ArtifactStore,
-    StoreBackend,
     StoreEntry,
-    available_store_backends,
-    detect_store_backend,
     entry_digest,
-    migrate_store,
+    export_jsonl,
+    import_jsonl,
     open_store,
     parse_filter,
-    register_store_backend,
     scenario_key,
     store_digest,
 )
-
-# Importing the SQLite backend registers it in STORE_BACKENDS; it must
-# come after ``store`` (it imports the protocol from there), which Python
-# guarantees by importing the parent package first.
 from repro.experiments.store_sqlite import SqliteStoreBackend
 from repro.experiments.spec import (
     AxisGrid,
@@ -177,15 +169,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "ArtifactStore",
     "SqliteStoreBackend",
-    "StoreBackend",
     "StoreEntry",
-    "available_store_backends",
-    "detect_store_backend",
     "entry_digest",
-    "migrate_store",
+    "export_jsonl",
+    "import_jsonl",
     "open_store",
     "parse_filter",
-    "register_store_backend",
     "scenario_key",
     "store_digest",
     "AxisGrid",

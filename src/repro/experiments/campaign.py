@@ -14,8 +14,8 @@ keys, bit-identical to an uninterrupted run.
 
 The declarative front door is :func:`repro.experiments.spec.iter_campaign`
 (a :class:`~repro.experiments.spec.CampaignSpec` in, the same streamed
-events out); :func:`run_campaign` remains as a thin batch wrapper whose
-legacy enrichment/execution kwargs are deprecated in favour of specs.
+events out); :func:`run_campaign` remains as a thin batch wrapper over a
+scenario list.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import functools
 import itertools
 import os
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
@@ -80,7 +79,7 @@ __all__ = [
     "run_campaign",
 ]
 
-#: Valid ``run_campaign(executor=...)`` choices.
+#: Valid ``stream_campaign(executor=...)`` / ``ExecutionPolicy.executor`` choices.
 EXECUTORS = ("serial", "thread", "process")
 
 
@@ -124,12 +123,12 @@ class ResultCache:
     def query(self, *args: Any, **kwargs: Any) -> Any:
         """Run a pushdown query against the backing store.
 
-        Passes through to the store backend's
-        :meth:`~repro.experiments.store.StoreBackend.query` (filters /
-        ``group_by`` / ``order_by`` / ``limit``), which evaluates it
-        server-side when the backend supports it (SQLite).  Raises
-        ``ValueError`` when the cache has no backing store — the
-        in-memory maps are keyed for exact lookup, not scans.
+        Passes through to
+        :meth:`~repro.experiments.store.ArtifactStore.query` (filters /
+        ``group_by`` / ``order_by`` / ``limit``), which SQLite evaluates
+        over its indexed columns.  Raises ``ValueError`` when the cache
+        has no backing store — the in-memory maps are keyed for exact
+        lookup, not scans.
         """
         if self._store is None:
             raise ValueError("ResultCache.query needs a backing store (ResultCache(store=...))")
@@ -870,13 +869,13 @@ def _stream_core(
     max_workers: Optional[int],
     cache: ResultCache,
     simulator_factory: Optional[Callable[[Scenario], AcceleratorSimulator]],
-    executor: str,
-    chunksize: Optional[int],
-    with_accuracy: bool,
-    accuracy_settings: Optional[AccuracySettings],
-    with_measured: bool,
-    measurement_settings: Optional[MeasurementSettings],
-    write_store: Optional[Any],
+    executor: str = "thread",
+    chunksize: Optional[int] = None,
+    with_accuracy: bool = False,
+    accuracy_settings: Optional[AccuracySettings] = None,
+    with_measured: bool = False,
+    measurement_settings: Optional[MeasurementSettings] = None,
+    write_store: Optional[Any] = None,
 ) -> Iterator[Tuple[ScenarioRecord, CampaignProgress]]:
     """The streaming engine behind :func:`stream_campaign`/:func:`run_campaign`.
 
@@ -884,7 +883,7 @@ def _stream_core(
     checks — callers own those (so :func:`run_campaign` can pair its
     freshly created private cache with a custom simulator, which the
     public :func:`stream_campaign` guard rejects for caller-provided
-    caches).
+    caches).  The defaults are :func:`stream_campaign`'s.
     """
     from repro.experiments.store import scenario_key  # local: store is a sibling
 
@@ -1003,64 +1002,8 @@ def _stream_core(
 
 
 # --------------------------------------------------------------------------- #
-# Legacy batch entry point
+# Batch entry point
 # --------------------------------------------------------------------------- #
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit default.
-_UNSET: Any = object()
-
-#: run_campaign kwargs superseded by the CampaignSpec API, mapped to the
-#: spec component and field that replaces each.  Passing any of them warns
-#: once per process.
-_LEGACY_KWARG_SPEC_FIELDS = {
-    "executor": ("execution", "executor"),
-    "chunksize": ("execution", "chunksize"),
-    "with_accuracy": ("enrichments", "accuracy"),
-    "accuracy_settings": ("enrichments", "accuracy_settings"),
-    "with_measured": ("enrichments", "measured"),
-    "measurement_settings": ("enrichments", "measurement_settings"),
-}
-
-_legacy_kwargs_warned = False
-
-
-def _reset_legacy_kwarg_warning() -> None:
-    """Re-arm the once-per-process deprecation warning (tests only)."""
-    global _legacy_kwargs_warned
-    _legacy_kwargs_warned = False
-
-
-def _spec_equivalent_snippet(passed: Dict[str, Any]) -> str:
-    """A CampaignSpec construction equivalent to the passed legacy kwargs."""
-    parts: Dict[str, List[str]] = {"enrichments": [], "execution": []}
-    for name in sorted(passed):
-        component, field_name = _LEGACY_KWARG_SPEC_FIELDS[name]
-        value = passed[name]
-        shown = repr(value) if isinstance(value, (bool, int, str, type(None))) else "..."
-        parts[component].append(f"{field_name}={shown}")
-    lines = ["    spec = CampaignSpec(", "        axes=AxisGrid(...),  # your expand_grid axes"]
-    if parts["enrichments"]:
-        lines.append(f"        enrichments=Enrichments({', '.join(parts['enrichments'])}),")
-    if parts["execution"]:
-        lines.append(f"        execution=ExecutionPolicy({', '.join(parts['execution'])}),")
-    lines.append("    )")
-    lines.append("    for record, progress in iter_campaign(spec): ...")
-    return "\n".join(lines)
-
-
-def _warn_legacy_kwargs(passed: Dict[str, Any]) -> None:
-    global _legacy_kwargs_warned
-    if _legacy_kwargs_warned:
-        return
-    _legacy_kwargs_warned = True
-    warnings.warn(
-        f"run_campaign({', '.join(sorted(passed))}=...) kwargs are deprecated; "
-        f"declare the campaign as a spec instead:\n"
-        f"{_spec_equivalent_snippet(passed)}\n"
-        f"(behaviour is unchanged; this warning fires once per process)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def run_campaign(
@@ -1068,40 +1011,17 @@ def run_campaign(
     max_workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     simulator_factory: Callable[[Scenario], AcceleratorSimulator] = None,
-    executor: Any = _UNSET,
-    chunksize: Any = _UNSET,
-    with_accuracy: Any = _UNSET,
-    accuracy_settings: Any = _UNSET,
-    with_measured: Any = _UNSET,
-    measurement_settings: Any = _UNSET,
 ) -> CampaignResult:
     """Batch wrapper over :func:`stream_campaign`: drain, then return.
 
     Behaviour, record order and store contents are identical to draining
     the stream (goldens lock this); only the streaming events are lost.
-    The enrichment/execution kwargs (``executor``, ``chunksize``,
-    ``with_accuracy``, ``accuracy_settings``, ``with_measured``,
-    ``measurement_settings``) are deprecated in favour of the declarative
-    :class:`~repro.experiments.spec.CampaignSpec` API — they keep working
-    verbatim but emit a one-time :class:`DeprecationWarning` naming the
-    spec field that replaces them.  ``max_workers``, ``cache`` and
-    ``simulator_factory`` are runtime injection points, not experiment
-    description, and stay first-class.
+    Scenarios run on the thread executor without joins; the executor,
+    chunking and the fidelity/measured joins are experiment description,
+    declared on a :class:`~repro.experiments.spec.CampaignSpec` and run
+    by :func:`~repro.experiments.spec.run_spec`.  ``max_workers``,
+    ``cache`` and ``simulator_factory`` are runtime injection points.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("executor", executor),
-            ("chunksize", chunksize),
-            ("with_accuracy", with_accuracy),
-            ("accuracy_settings", accuracy_settings),
-            ("with_measured", with_measured),
-            ("measurement_settings", measurement_settings),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        _warn_legacy_kwargs(legacy)
     _check_cache_factory_combination(cache, simulator_factory)
     records: List[ScenarioRecord] = []
     progress: Optional[CampaignProgress] = None
@@ -1111,15 +1031,6 @@ def run_campaign(
         max_workers=max_workers,
         cache=cache,
         simulator_factory=simulator_factory,
-        executor=executor if executor is not _UNSET else "thread",
-        chunksize=chunksize if chunksize is not _UNSET else None,
-        with_accuracy=with_accuracy if with_accuracy is not _UNSET else False,
-        accuracy_settings=accuracy_settings if accuracy_settings is not _UNSET else None,
-        with_measured=with_measured if with_measured is not _UNSET else False,
-        measurement_settings=(
-            measurement_settings if measurement_settings is not _UNSET else None
-        ),
-        write_store=None,
     ):
         records.append(record)
     return CampaignResult(

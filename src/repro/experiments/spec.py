@@ -58,7 +58,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.measured import MeasurementSettings
 from repro.experiments.scenario import KB, Scenario
-from repro.experiments.store import StoreBackend, open_store
+from repro.experiments.store import ArtifactStore
 
 __all__ = [
     "AxisGrid",
@@ -242,13 +242,12 @@ class ExecutionPolicy:
             :func:`~repro.experiments.campaign.stream_campaign`).
         max_workers: Pool width (``None`` = the executor's heuristic).
         chunksize: Scenarios per process-pool work item (process only).
-        store: Artifact-store directory; ``None`` keeps everything in
-            memory.  With a store, every completed scenario is appended
-            incrementally, making the campaign killable and resumable.
-        store_backend: Which registered store backend (``"jsonl"`` /
-            ``"sqlite"``) to open the store directory under; ``None``
-            (the default) keeps whatever layout the directory already
-            holds, falling back to JSONL for a fresh directory.
+        store: Artifact-store directory (an
+            :class:`~repro.experiments.store.ArtifactStore`, SQLite);
+            ``None`` keeps everything in memory.  With a store, every
+            completed scenario is appended incrementally, making the
+            campaign killable and resumable.  A directory holding only a
+            JSONL log is imported on first open.
         resume: When the store already holds a scenario's key, serve it
             from disk instead of re-simulating (the default).  With
             ``resume=False`` the store is kept out of the lookup path —
@@ -259,7 +258,6 @@ class ExecutionPolicy:
     max_workers: Optional[int] = None
     chunksize: Optional[int] = None
     store: Optional[str] = None
-    store_backend: Optional[str] = None
     resume: bool = True
 
     def to_dict(self) -> Dict[str, Any]:
@@ -268,7 +266,6 @@ class ExecutionPolicy:
             "max_workers": self.max_workers,
             "chunksize": self.chunksize,
             "store": self.store,
-            "store_backend": self.store_backend,
             "resume": bool(self.resume),
         }
 
@@ -366,8 +363,6 @@ class CampaignSpec:
                 f"unknown executor {self.execution.executor!r} "
                 f"(choose from {', '.join(EXECUTORS)})"
             )
-        if self.execution.store_backend is not None:
-            registry.STORES.get(self.execution.store_backend)
         return self
 
     def scenarios(self) -> List[Scenario]:
@@ -451,11 +446,11 @@ def shard_spec(spec: CampaignSpec, num_shards: int) -> List[CampaignSpec]:
     ]
 
 
-def _policy_cache(policy: ExecutionPolicy) -> Tuple[ResultCache, Optional[StoreBackend]]:
+def _policy_cache(policy: ExecutionPolicy) -> Tuple[ResultCache, Optional[ArtifactStore]]:
     """Build the cache (and possibly a write-only store) the policy asks for."""
     if policy.store is None:
         return ResultCache(), None
-    store = open_store(policy.store, backend=policy.store_backend)
+    store = ArtifactStore(policy.store)
     if policy.resume:
         return ResultCache(store=store), None
     # resume=False: keep the store out of the lookup path (everything

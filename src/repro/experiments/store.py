@@ -1,4 +1,4 @@
-"""Pluggable, content-addressed artifact stores for simulation results.
+"""Content-addressed artifact store for simulation results.
 
 The store makes campaigns incremental across processes: every simulated
 :class:`~repro.experiments.scenario.Scenario` is persisted under a stable
@@ -6,61 +6,47 @@ content hash of the scenario (plus the record schema version), and later
 campaigns — in this process or any other — resolve identical grid points
 from disk instead of re-simulating them.
 
-Two backends ship behind one :class:`StoreBackend` contract, registered
-in :data:`STORE_BACKENDS` (and surfaced as the ``stores`` registry of
-:mod:`repro.registry`):
+:class:`ArtifactStore` is the one storage engine: an indexed SQLite
+database in ``<root>/records.sqlite`` (WAL mode) with a real column per
+scenario axis, so :meth:`ArtifactStore.query` filters, orders, groups and
+limits inside SQLite, and concurrent shard writers (threads or processes)
+interleave safely.  ``repro.experiments.store_sqlite.SqliteStoreBackend``
+names the same class.
 
-* :class:`ArtifactStore` — the append-only JSONL backend (the default):
-  one self-describing JSON object per line in ``<root>/records.jsonl``,
-  loaded into an in-memory index on first access.  Zero dependencies,
-  human-greppable, but every query re-parses the whole log and
-  concurrent writers from different processes are unsupported.
-* :class:`~repro.experiments.store_sqlite.SqliteStoreBackend` — an
-  indexed SQLite database in ``<root>/records.sqlite`` (WAL mode), with
-  a real column per scenario axis so :meth:`StoreBackend.query` filters,
-  orders, groups and limits **server-side**, and concurrent shard
-  writers (threads or processes) interleave safely.  The backend for
-  million-record campaign grids.
-
-``open_store(root)`` auto-detects which layout a directory holds (a
-directory holding both resolves to SQLite; pass ``backend=`` to force)
-and :func:`migrate_store` copies one store into another, preserving
-insertion order, keys and record digests — so ``repro store migrate``
-converts between layouts losslessly.
-
-The protocol contract (see :class:`StoreBackend` for the full method
-set) every backend must honour:
+Its contract:
 
 * **Content addressing** — records are keyed by :func:`scenario_key`;
   two processes always agree on the key of a scenario.
-* **Last-write-wins upgrades** — :meth:`~StoreBackend.put` on an
+* **Last-write-wins upgrades** — :meth:`~ArtifactStore.put` on an
   existing key stores nothing unless it *adds* a missing part (fidelity
   and/or measured stats); an upgrade carries every part already known
   plus the new ones, and the upgraded record replaces the old one while
   keeping its original insertion position.
-* **Insertion order** — :meth:`~StoreBackend.keys` and
-  :meth:`~StoreBackend.records` iterate in first-put order, stable
-  across upgrades, re-opens and migrations.
+* **Insertion order** — :meth:`~ArtifactStore.keys` and
+  :meth:`~ArtifactStore.records` iterate in first-put order, stable
+  across upgrades, re-opens, export and import.
 * **Degrade, never crash** — records written under a different
   ``schema_version`` and records whose payload does not rebuild are
-  skipped (surfaced via :attr:`~StoreBackend.skipped`), so a store
+  skipped (surfaced via :attr:`~ArtifactStore.skipped`), so a store
   written by a newer code version degrades to cache misses.
-* **Streaming** — :meth:`~StoreBackend.records` and ungrouped
-  :meth:`~StoreBackend.query` results are lazy iterators; consuming a
-  prefix must not materialise (or deserialize) the full record set.
-* **Query pushdown** — :meth:`~StoreBackend.query` evaluates filters /
-  ``order_by`` / ``limit`` / ``group_by`` inside the backend; both
-  backends return identical rows for identical content (locked by the
-  conformance suite in ``tests/test_store_backends.py``).
+* **Streaming** — :meth:`~ArtifactStore.records` and ungrouped
+  :meth:`~ArtifactStore.query` results are lazy cursors; consuming a
+  prefix does not deserialize the full record set.
 
-Each JSONL line (and each SQLite row's payload columns) is a
-self-describing record::
+JSONL is the interchange format: :func:`export_jsonl` (``repro store
+export``) writes one self-describing JSON object per record, in insertion
+order, and :func:`import_jsonl` (``repro store import``) loads such a log
+in one transaction::
 
-    {"schema_version": 1, "key": "<sha256 prefix>",
+    {"key": "<sha256 prefix>", "schema_version": 1,
      "scenario": {...Scenario.to_dict()...},
      "result": {...SimulationResult.to_dict()...},
      "fidelity": {...FidelityResult.to_dict()...},    # optional
      "measured": {...MeasuredStats.to_dict()...}}     # optional
+
+Opening a directory that holds a ``records.jsonl`` log and no
+``records.sqlite`` database imports the log once, in the transaction
+that creates the database; the log itself is left untouched.
 
 The ``fidelity`` field is the accuracy half of the record (see
 :mod:`repro.experiments.accuracy`) and ``measured`` is the measured
@@ -80,27 +66,25 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-import itertools
 import json
 import os
+import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
-    Mapping,
     NamedTuple,
     Optional,
-    Protocol,
     Sequence,
+    Set,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 from repro.accelerator.metrics import SimulationResult
@@ -114,21 +98,17 @@ __all__ = [
     "entry_digest",
     "store_digest",
     "StoreEntry",
-    "StoreBackend",
     "ArtifactStore",
-    "QueryField",
     "QUERY_FIELDS",
     "AXIS_FIELDS",
     "GROUP_METRICS",
     "GROUP_AGGREGATES",
     "parse_filter",
-    "STORE_BACKENDS",
     "DEFAULT_STORE_BACKEND",
-    "register_store_backend",
-    "available_store_backends",
-    "detect_store_backend",
     "open_store",
-    "migrate_store",
+    "export_jsonl",
+    "import_jsonl",
+    "read_jsonl",
 ]
 
 
@@ -149,7 +129,18 @@ class StoreEntry(NamedTuple):
 # Old-version records are ignored (and re-simulated) rather than misread.
 SCHEMA_VERSION = 1
 
-RECORDS_FILENAME = "records.jsonl"
+#: The database file inside a store directory.
+SQLITE_FILENAME = "records.sqlite"
+
+#: A JSONL log inside a store directory, imported on first open.
+JSONL_FILENAME = "records.jsonl"
+
+#: The storage engine's name, as job statuses and benchmark runs report it.
+DEFAULT_STORE_BACKEND = "sqlite"
+
+#: ``PRAGMA user_version`` of a database whose set-up (schema, indexes,
+#: legacy-log import) has committed.
+_SETUP_VERSION = 1
 
 
 def scenario_key(scenario: Scenario, schema_version: int = SCHEMA_VERSION) -> str:
@@ -186,7 +177,7 @@ def entry_digest(entry: StoreEntry) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def store_digest(store: "StoreBackend") -> Dict[str, str]:
+def store_digest(store: "ArtifactStore") -> Dict[str, str]:
     """Content identity of a whole store: ``{scenario key: record digest}``.
 
     Insertion order is deliberately *not* part of the identity: shard
@@ -199,7 +190,7 @@ def store_digest(store: "StoreBackend") -> Dict[str, str]:
 
 
 # --------------------------------------------------------------------------- #
-# Query pushdown: the shared field/filter/plan model both backends speak.
+# Query pushdown: the field/filter/plan model queries are written in.
 # --------------------------------------------------------------------------- #
 
 
@@ -209,36 +200,23 @@ class QueryField:
 
     Attributes:
         name: Public field name.
-        kind: ``"axis"`` (a scenario field, an indexed column in the
-            SQLite backend) or ``"metric"`` (a headline number extracted
-            from the stored result payload).
-        sql: SQL expression over the SQLite backend's ``records`` table
-            computing the field's value.
-        get: The same value computed from a :class:`StoreEntry` (what the
-            JSONL backend — and the conformance suite — evaluates).
+        kind: ``"axis"`` (a scenario field, an indexed column) or
+            ``"metric"`` (a headline number extracted from the stored
+            result payload).
+        sql: SQL expression over the ``records`` table computing the
+            field's value.
     """
 
     name: str
     kind: str
     sql: str
-    get: Callable[[StoreEntry], Any]
-
-
-def _axis_field(name: str) -> QueryField:
-    return QueryField(name, "axis", name, lambda e, _n=name: getattr(e.scenario, _n))
 
 
 def _result_metric(name: str) -> QueryField:
-    return QueryField(
-        name,
-        "metric",
-        f"json_extract(result, '$.{name}')",
-        lambda e, _n=name: float(getattr(e.result, _n)),
-    )
+    return QueryField(name, "metric", f"json_extract(result, '$.{name}')")
 
 
-#: Scenario axes addressable by queries — each is an indexed column in
-#: the SQLite backend.
+#: Scenario axes addressable by queries — each is an indexed column.
 AXIS_FIELDS = (
     "model",
     "task",
@@ -251,21 +229,16 @@ AXIS_FIELDS = (
 )
 
 #: Every field a query can filter or order by, axis columns first.
-QUERY_FIELDS: Dict[str, QueryField] = {name: _axis_field(name) for name in AXIS_FIELDS}
+QUERY_FIELDS: Dict[str, QueryField] = {
+    name: QueryField(name, "axis", name) for name in AXIS_FIELDS
+}
 QUERY_FIELDS.update(
     {
         # The scheme the report's scheme column displays: the scenario's
-        # override when set, else the result's design name.  Derived from
-        # the result payload on the JSONL side, but materialised as an
-        # indexed column by the SQLite backend so it still compiles to
-        # SQL (kind "axis": filterable, groupable, orderable).
-        "effective_scheme": QueryField(
-            "effective_scheme",
-            "axis",
-            "effective_scheme",
-            lambda e: e.scenario.scheme if e.scenario.scheme is not None
-            else e.result.design_name,
-        ),
+        # override when set, else the result's design name, materialised
+        # as an indexed column (kind "axis": filterable, groupable,
+        # orderable).
+        "effective_scheme": QueryField("effective_scheme", "axis", "effective_scheme"),
         "compute_cycles": _result_metric("compute_cycles"),
         "memory_cycles": _result_metric("memory_cycles"),
         "total_cycles": _result_metric("total_cycles"),
@@ -279,14 +252,12 @@ QUERY_FIELDS.update(
             "(json_extract(result, '$.energy.dram')"
             " + json_extract(result, '$.energy.sram')"
             " + json_extract(result, '$.energy.compute'))",
-            lambda e: e.result.energy.dram + e.result.energy.sram + e.result.energy.compute,
         ),
         "area_mm2": QueryField(
             "area_mm2",
             "metric",
             "(json_extract(result, '$.area.compute')"
             " + json_extract(result, '$.area.buffer'))",
-            lambda e: e.result.area.compute + e.result.area.buffer,
         ),
     }
 )
@@ -347,13 +318,10 @@ def _suggest(name: Any, candidates: Iterable[str]) -> str:
 
 @dataclass(frozen=True)
 class _QueryPlan:
-    """A validated query, executable both in Python and as SQL.
+    """A validated query, compiled to one SQL statement by the store.
 
     Built (and fully validated — unknown fields raise ``ValueError`` with
-    a did-you-mean suggestion before any I/O) by :meth:`build`; the JSONL
-    backend runs it via :meth:`entries`/:meth:`groups` over its record
-    stream, the SQLite backend compiles the same plan to one SQL
-    statement.  Both produce identical rows by contract.
+    a did-you-mean suggestion before any I/O) by :meth:`build`.
     """
 
     filters: Tuple[Tuple[QueryField, str, Any], ...]
@@ -442,295 +410,303 @@ class _QueryPlan:
                 raise ValueError(f"limit must be positive, got {limit}")
         return cls(tuple(parsed), tuple(group_fields), order_field, descending, limit)
 
-    # -- Python-side execution (JSONL backend, conformance oracle) -------
-
-    @staticmethod
-    def _sort_key(value: Any) -> Tuple[bool, Any]:
-        # None sorts first ascending / last descending, matching SQLite's
-        # NULL placement under ASC/DESC.
-        return (value is not None, value)
-
-    def matches(self, entry: StoreEntry) -> bool:
-        for field, op, wanted in self.filters:
-            value = field.get(entry)
-            if wanted is None:
-                ok = (value is None) if op == "==" else (value is not None)
-            elif value is None:
-                # SQL three-valued logic: NULL never satisfies a concrete
-                # comparison (including ``!=``).
-                ok = False
-            elif op == "==":
-                ok = value == wanted
-            elif op == "!=":
-                ok = value != wanted
-            elif op == "<":
-                ok = value < wanted
-            elif op == "<=":
-                ok = value <= wanted
-            elif op == ">":
-                ok = value > wanted
-            else:
-                ok = value >= wanted
-            if not ok:
-                return False
-        return True
-
-    def entries(self, records: Iterator[StoreEntry]) -> Iterator[StoreEntry]:
-        """Filtered/ordered/limited entries; lazy unless ordering forces a sort."""
-        matching: Iterator[StoreEntry] = (e for e in records if self.matches(e))
-        if self.order_field is not None:
-            field = QUERY_FIELDS[self.order_field]
-            matching = iter(
-                sorted(
-                    matching,
-                    key=lambda e: self._sort_key(field.get(e)),
-                    reverse=self.descending,
-                )
-            )
-        if self.limit is not None:
-            matching = itertools.islice(matching, self.limit)
-        return matching
-
-    def groups(self, records: Iterator[StoreEntry]) -> List[Dict[str, Any]]:
-        """Aggregate rows per distinct group key (see :data:`GROUP_AGGREGATES`)."""
-        accum: Dict[Tuple[Any, ...], List[Any]] = {}
-        for entry in records:
-            if not self.matches(entry):
-                continue
-            key = tuple(field.get(entry) for field in self.group_fields)
-            acc = accum.get(key)
-            if acc is None:
-                acc = accum[key] = [0, 0, 0] + [None, 0.0] * len(GROUP_METRICS)
-            acc[0] += 1
-            if entry.fidelity is not None:
-                acc[1] += 1
-            if entry.measured is not None:
-                acc[2] += 1
-            for i, metric in enumerate(GROUP_METRICS):
-                value = QUERY_FIELDS[metric].get(entry)
-                slot = 3 + 2 * i
-                acc[slot] = value if acc[slot] is None else min(acc[slot], value)
-                acc[slot + 1] += value
-        rows: List[Dict[str, Any]] = []
-        for key in sorted(accum, key=lambda k: tuple(self._sort_key(v) for v in k)):
-            acc = accum[key]
-            row: Dict[str, Any] = {
-                field.name: value for field, value in zip(self.group_fields, key)
-            }
-            row["count"] = acc[0]
-            row["with_fidelity"] = acc[1]
-            row["with_measured"] = acc[2]
-            for i, metric in enumerate(GROUP_METRICS):
-                row[f"min_{metric}"] = acc[3 + 2 * i]
-                row[f"mean_{metric}"] = acc[3 + 2 * i + 1] / acc[0]
-            rows.append(row)
-        if self.order_field is not None:
-            rows.sort(
-                key=lambda r: self._sort_key(r[self.order_field]), reverse=self.descending
-            )
-        if self.limit is not None:
-            rows = rows[: self.limit]
-        return rows
-
 
 # --------------------------------------------------------------------------- #
-# The backend protocol.
+# The storage engine.
 # --------------------------------------------------------------------------- #
 
+_CREATE_TABLE = """
+CREATE TABLE IF NOT EXISTS records (
+    key TEXT PRIMARY KEY,
+    schema_version INTEGER NOT NULL,
+    model TEXT,
+    task TEXT,
+    sequence_length INTEGER,
+    batch_size INTEGER,
+    scheme TEXT,
+    design TEXT,
+    buffer_bytes INTEGER,
+    activation_buffer_fraction REAL,
+    effective_scheme TEXT,
+    scenario TEXT NOT NULL,
+    result TEXT NOT NULL,
+    fidelity TEXT,
+    measured TEXT
+)
+"""
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """What every artifact-store backend must implement.
-
-    The contract (conformance-tested for both shipped backends in
-    ``tests/test_store_backends.py``; see the module docstring for the
-    invariants in prose):
-
-    * ``get``/``get_fidelity``/``get_measured`` resolve by
-      :func:`scenario_key` and return ``None`` on a miss.
-    * ``put`` persists one record, returning ``True`` iff something new
-      was stored; re-offering a fully known record is a no-op, offering a
-      missing part appends an upgrade carrying everything known.
-    * ``keys``/``records`` iterate in first-put order; ``records`` is a
-      lazy iterator (a prefix read must not deserialize everything).
-    * ``query`` pushes filters / ``group_by`` / ``order_by`` / ``limit``
-      into the backend and matches the Python reference semantics of
-      :class:`_QueryPlan` exactly.
-    * ``skipped`` counts records this code version cannot read (wrong
-      ``schema_version``, unparseable payloads) instead of crashing.
-    * ``clear`` deletes everything and returns how many records existed;
-      ``refresh`` drops any in-memory state so another writer's appends
-      become visible.
-    """
-
-    #: Registered backend name (``"jsonl"``, ``"sqlite"``, ...).
-    backend_name: str
-    #: Store directory.
-    root: Path
-    #: The backing file inside :attr:`root`.
-    path: Path
-
-    def get(self, scenario: Scenario) -> Optional[SimulationResult]: ...
-
-    def get_fidelity(self, scenario: Scenario) -> Optional[FidelityResult]: ...
-
-    def get_measured(self, scenario: Scenario) -> Optional[MeasuredStats]: ...
-
-    def put(
-        self,
-        scenario: Scenario,
-        result: SimulationResult,
-        fidelity: Optional[FidelityResult] = None,
-        measured: Optional[MeasuredStats] = None,
-    ) -> bool: ...
-
-    def put_many(self, entries: Iterable[StoreEntry]) -> int: ...
-
-    def keys(self) -> List[str]: ...
-
-    def records(self) -> Iterator[StoreEntry]: ...
-
-    def query(
-        self,
-        filters: Iterable[Union[str, Filter]] = (),
-        group_by: Optional[Union[str, Sequence[str]]] = None,
-        order_by: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> Union[Iterator[StoreEntry], List[Dict[str, Any]]]: ...
-
-    def clear(self) -> int: ...
-
-    def refresh(self) -> None: ...
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, scenario: Scenario) -> bool: ...
+_PAYLOAD_COLUMNS = "key, scenario, result, fidelity, measured"
 
 
-# --------------------------------------------------------------------------- #
-# JSONL backend (the default).
-# --------------------------------------------------------------------------- #
+def _dumps(payload: Optional[dict]) -> Optional[str]:
+    if payload is None:
+        return None
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _entry_from_dicts(
+    scenario: Any, result: Any, fidelity: Any, measured: Any
+) -> StoreEntry:
+    return StoreEntry(
+        Scenario.from_dict(scenario),
+        SimulationResult.from_dict(result),
+        None if fidelity is None else FidelityResult.from_dict(fidelity),
+        None if measured is None else MeasuredStats.from_dict(measured),
+    )
 
 
 class ArtifactStore:
-    """Append-only JSONL store of scenario → result records (the default backend).
+    """WAL-mode SQLite store of scenario → result records.
 
-    Thread-safe; the JSONL log is loaded lazily on first access and kept
-    as an in-memory index afterwards (:meth:`refresh` drops it so another
-    process's appends become visible).  Layer it under a
-    :class:`~repro.experiments.campaign.ResultCache` (``ResultCache(store=...)``)
-    to make ``run_campaign`` incremental across processes.  For indexed
-    server-side queries and concurrent shard writers, migrate to the
-    SQLite backend (``repro store migrate``).
+    One connection per thread (SQLite connections are not thread-safe);
+    every write runs inside a ``BEGIN IMMEDIATE`` transaction with
+    retry-on-busy, so any number of threads or processes may share the
+    same database file.  Reads never create the store — a missing
+    database is an empty store.  Layer it under a
+    :class:`~repro.experiments.campaign.ResultCache`
+    (``ResultCache(store=...)``) to make campaigns incremental across
+    processes.
     """
 
-    backend_name = "jsonl"
-    FILENAME = RECORDS_FILENAME
+    #: How long a writer waits on a locked database before giving up.
+    BUSY_TIMEOUT_S = 30.0
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
-        self.path = self.root / self.FILENAME
-        self._lock = threading.Lock()
-        self._index: Optional[Dict[str, StoreEntry]] = None
-        #: Lines skipped on load (corrupt, wrong schema version, unreadable).
-        self.skipped = 0
+        self.path = self.root / SQLITE_FILENAME
+        self._local = threading.local()
+        self._connections: List[sqlite3.Connection] = []
+        self._conn_lock = threading.Lock()
+        # Keys of rows whose payload failed to rebuild (counted as
+        # skipped alongside wrong-schema-version rows).
+        self._corrupt: Set[str] = set()
+        # Unreadable lines of a legacy log this instance imported.
+        self._unreadable_lines = 0
+        # Bumped by clear(), which ends any records() scan in flight.
+        self._clears = 0
 
-    # -- loading ---------------------------------------------------------
+    # -- connection management -------------------------------------------
 
-    def _load_locked(self) -> Dict[str, StoreEntry]:
-        if self._index is not None:
-            return self._index
-        index: Dict[str, StoreEntry] = {}
-        self.skipped = 0
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        if record.get("schema_version") != SCHEMA_VERSION:
-                            raise ValueError("schema version mismatch")
-                        scenario = Scenario.from_dict(record["scenario"])
-                        result = SimulationResult.from_dict(record["result"])
-                        raw_fidelity = record.get("fidelity")
-                        fidelity = (
-                            None if raw_fidelity is None else FidelityResult.from_dict(raw_fidelity)
-                        )
-                        raw_measured = record.get("measured")
-                        measured = (
-                            None if raw_measured is None else MeasuredStats.from_dict(raw_measured)
-                        )
-                        key = record.get("key") or scenario_key(scenario)
-                    except (ValueError, KeyError, TypeError, AttributeError):
-                        self.skipped += 1
-                        continue
-                    index[key] = StoreEntry(scenario, result, fidelity, measured)
-        self._index = index
-        return index
+    def _connect(self, create: bool) -> Optional[sqlite3.Connection]:
+        conn: Optional[sqlite3.Connection] = getattr(self._local, "conn", None)
+        if conn is not None:
+            return conn
+        if not (create or self.path.exists() or (self.root / JSONL_FILENAME).exists()):
+            return None
+        self.root.mkdir(parents=True, exist_ok=True)
+        # isolation_level=None: no implicit transactions; writes manage
+        # their own BEGIN IMMEDIATE / COMMIT for multi-writer safety.
+        conn = sqlite3.connect(str(self.path), timeout=self.BUSY_TIMEOUT_S, isolation_level=None)
+        self._execute_when_free(conn, "PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute(f"PRAGMA busy_timeout={int(self.BUSY_TIMEOUT_S * 1000)}")
+        if conn.execute("PRAGMA user_version").fetchone()[0] < _SETUP_VERSION:
+            try:
+                self._write(conn, self._set_up_locked)
+            except BaseException:
+                conn.close()
+                raise
+        self._local.conn = conn
+        with self._conn_lock:
+            self._connections.append(conn)
+        return conn
 
-    def refresh(self) -> None:
-        """Drop the in-memory index; the next access reloads from disk.
+    def _set_up_locked(self, conn: sqlite3.Connection) -> None:
+        """Create (or migrate) the schema, importing a legacy log once.
 
-        Call after another process appended to the log to make its
-        records (and an up-to-date :attr:`skipped` count) visible here.
+        Runs in one immediate transaction and ends by stamping
+        ``PRAGMA user_version``, so concurrent openers wait for it and
+        then find the work done, and an interrupted set-up (a killed
+        process) is rolled back and simply runs again on the next open.
+        A directory written as a JSONL log (``records.jsonl``, no
+        database yet) is imported here; the log itself is left as it
+        was, and a database that already held the table never imports.
         """
-        with self._lock:
-            self._index = None
+        if conn.execute("PRAGMA user_version").fetchone()[0] >= _SETUP_VERSION:
+            return
+        fresh = conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'records'"
+        ).fetchone() is None
+        conn.execute(_CREATE_TABLE)
+        self._ensure_effective_scheme(conn)
+        for column in AXIS_FIELDS + ("effective_scheme", "schema_version"):
+            conn.execute(
+                f"CREATE INDEX IF NOT EXISTS idx_records_{column} ON records ({column})"
+            )
+        legacy_log = self.root / JSONL_FILENAME
+        if fresh and legacy_log.exists():
+            self._unreadable_lines = self._import_locked(conn, legacy_log)[2]
+        conn.execute(f"PRAGMA user_version = {_SETUP_VERSION}")
 
-    # -- queries ---------------------------------------------------------
+    def _execute_when_free(self, conn: sqlite3.Connection, sql: str) -> None:
+        """Run ``sql``, retrying for up to ``BUSY_TIMEOUT_S`` while locked.
+
+        ``BEGIN IMMEDIATE``, and ``PRAGMA journal_mode=WAL`` on a fresh
+        file, can fail with "database is locked" at once instead of waiting
+        on the connection's busy timeout.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute(sql)
+                return
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.005)
+
+    @staticmethod
+    def _ensure_effective_scheme(conn: sqlite3.Connection) -> None:
+        """Migrate pre-existing databases to the materialised scheme column.
+
+        ``effective_scheme`` holds what the report's scheme column shows
+        (the scenario's override, else the result's design name) so the
+        ``--scheme``/``effective_scheme`` filter compiles to an indexed
+        SQL comparison instead of rebuilding every result payload.  The
+        backfill expression is
+        ``COALESCE(scheme, json_extract(result, '$.design_name'))`` —
+        exactly what :meth:`put` writes.  Runs inside the set-up
+        transaction.
+        """
+        columns = {row[1] for row in conn.execute("PRAGMA table_info(records)")}
+        if "effective_scheme" not in columns:
+            conn.execute("ALTER TABLE records ADD COLUMN effective_scheme TEXT")
+            conn.execute(
+                "UPDATE records SET effective_scheme = "
+                "COALESCE(scheme, json_extract(result, '$.design_name'))"
+            )
+
+    def close(self) -> None:
+        """Close every connection this instance opened (all threads)."""
+        with self._conn_lock:
+            conns, self._connections = self._connections, []
+        for conn in conns:
+            try:
+                conn.close()
+            except sqlite3.Error:
+                pass
+        self._local = threading.local()
+
+    def _write(self, conn: sqlite3.Connection, work) -> Any:
+        """Run ``work(conn)`` inside an immediate transaction, retrying on busy."""
+        self._execute_when_free(conn, "BEGIN IMMEDIATE")
+        try:
+            value = work(conn)
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        conn.execute("COMMIT")
+        return value
+
+    # -- row <-> entry ----------------------------------------------------
+
+    def _rebuild(self, row: Sequence[Any]) -> Optional[StoreEntry]:
+        key, *payloads = row
+        try:
+            return _entry_from_dicts(
+                *(None if payload is None else json.loads(payload) for payload in payloads)
+            )
+        except (ValueError, KeyError, TypeError, AttributeError):
+            self._corrupt.add(key)
+            return None
+
+    # -- read surface -----------------------------------------------------
+
+    @property
+    def skipped(self) -> int:
+        """Records this code version cannot read: stored rows of another
+        schema version, rows whose payload failed to rebuild so far, and
+        the unreadable lines of a legacy log this instance imported."""
+        conn = self._connect(create=False)
+        if conn is None:
+            return 0
+        (stale,) = conn.execute(
+            "SELECT COUNT(*) FROM records WHERE schema_version != ?", (SCHEMA_VERSION,)
+        ).fetchone()
+        return int(stale) + len(self._corrupt) + self._unreadable_lines
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._load_locked())
+        conn = self._connect(create=False)
+        if conn is None:
+            return 0
+        (count,) = conn.execute(
+            "SELECT COUNT(*) FROM records WHERE schema_version = ?", (SCHEMA_VERSION,)
+        ).fetchone()
+        return int(count) - len(self._corrupt)
 
     def __contains__(self, scenario: Scenario) -> bool:
-        with self._lock:
-            return scenario_key(scenario) in self._load_locked()
+        return self._fetch_entry(scenario_key(scenario)) is not None
+
+    def _fetch_entry(self, key: str) -> Optional[StoreEntry]:
+        conn = self._connect(create=False)
+        if conn is None or key in self._corrupt:
+            return None
+        row = conn.execute(
+            f"SELECT {_PAYLOAD_COLUMNS} FROM records WHERE key = ? AND schema_version = ?",
+            (key, SCHEMA_VERSION),
+        ).fetchone()
+        if row is None:
+            return None
+        return self._rebuild(row)
 
     def get(self, scenario: Scenario) -> Optional[SimulationResult]:
         """The stored result for ``scenario``, or ``None``."""
-        with self._lock:
-            entry = self._load_locked().get(scenario_key(scenario))
-            return entry.result if entry is not None else None
+        entry = self._fetch_entry(scenario_key(scenario))
+        return entry.result if entry is not None else None
 
     def get_fidelity(self, scenario: Scenario) -> Optional[FidelityResult]:
         """The stored fidelity for ``scenario``, or ``None``."""
-        with self._lock:
-            entry = self._load_locked().get(scenario_key(scenario))
-            return entry.fidelity if entry is not None else None
+        entry = self._fetch_entry(scenario_key(scenario))
+        return entry.fidelity if entry is not None else None
 
     def get_measured(self, scenario: Scenario) -> Optional[MeasuredStats]:
         """The stored measured stats for ``scenario``, or ``None``."""
-        with self._lock:
-            entry = self._load_locked().get(scenario_key(scenario))
-            return entry.measured if entry is not None else None
+        entry = self._fetch_entry(scenario_key(scenario))
+        return entry.measured if entry is not None else None
 
     def keys(self) -> List[str]:
-        with self._lock:
-            return list(self._load_locked())
+        conn = self._connect(create=False)
+        if conn is None:
+            return []
+        rows = conn.execute(
+            "SELECT key FROM records WHERE schema_version = ? ORDER BY rowid",
+            (SCHEMA_VERSION,),
+        ).fetchall()
+        return [key for (key,) in rows if key not in self._corrupt]
 
     def records(self) -> Iterator[StoreEntry]:
-        """All stored entries, in insertion order, as a lazy generator.
+        """All readable entries, in insertion order, as a lazy cursor scan.
 
         Each :class:`StoreEntry` unpacks as ``(scenario, result,
         fidelity, measured)``; the optional parts are ``None`` for
-        hardware-only records.  Only the (much smaller) key list is
-        snapshotted up front — entries are looked up one at a time, so
-        a prefix read never copies the index, and puts interleaved with
-        iteration are safe (records put after the snapshot are not
-        yielded; a concurrent :meth:`clear` ends the iteration).
+        hardware-only records.  Rows stream straight off a SQLite cursor
+        (rowid order — stable under upgrades, which UPDATE in place), so
+        a prefix read only deserializes the prefix; rows that fail to
+        rebuild are counted into :attr:`skipped` and skipped.  Records
+        put after the scan starts are not yielded, and a :meth:`clear`
+        on this instance ends the scan.
         """
-        with self._lock:
-            keys = list(self._load_locked())
-        for key in keys:
-            index = self._index
-            if index is None:  # cleared/refreshed mid-iteration
+        conn = self._connect(create=False)
+        if conn is None:
+            return
+        clears = self._clears
+        cursor = conn.execute(
+            f"SELECT {_PAYLOAD_COLUMNS} FROM records WHERE schema_version = ? "
+            f"AND rowid <= (SELECT MAX(rowid) FROM records) ORDER BY rowid",
+            (SCHEMA_VERSION,),
+        )
+        for row in cursor:
+            if self._clears != clears:
                 return
-            entry = index.get(key)
+            entry = self._rebuild(row)
             if entry is not None:
                 yield entry
+
+    def refresh(self) -> None:
+        """Forget remembered corrupt rows; SQLite reads are always live."""
+        self._corrupt = set()
+
+    # -- query pushdown ---------------------------------------------------
 
     def query(
         self,
@@ -739,7 +715,17 @@ class ArtifactStore:
         order_by: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> Union[Iterator[StoreEntry], List[Dict[str, Any]]]:
-        """Filtered (and optionally grouped) view of the store.
+        """Filtered (and optionally grouped) view, evaluated inside SQLite.
+
+        The query is validated first (unknown fields raise ``ValueError``
+        with a did-you-mean suggestion), then compiled to one SQL
+        statement over the indexed axis columns (metrics via
+        ``json_extract``), so filtering, grouping, ordering and ``limit``
+        all happen in the database and only surviving rows are
+        deserialized.  Comparisons follow SQL: a concrete comparison
+        (``!=`` included) never matches a NULL axis, ``field=none`` /
+        ``field!=none`` test for NULL, and NULLs order first ascending,
+        last descending.
 
         Args:
             filters: ``(field, op, value)`` triples or CLI-style strings
@@ -748,9 +734,11 @@ class ArtifactStore:
             group_by: Axis name(s); switches the return value to a list
                 of aggregate row dicts (group fields + ``count`` /
                 ``with_fidelity`` / ``with_measured`` + min/mean of
-                :data:`GROUP_METRICS`).
+                :data:`GROUP_METRICS`), ordered by the group fields.
             order_by: Field to order entries by (or, grouped, a group
-                field / aggregate name); prefix ``-`` for descending.
+                field / aggregate name); ``-FIELD``, ``~FIELD`` and
+                ``FIELD:desc`` order descending, ``FIELD:asc`` ascending.
+                Ties keep insertion (or group-key) order.
             limit: Keep only the first ``limit`` entries/rows.
 
         Returns:
@@ -758,11 +746,83 @@ class ArtifactStore:
             list of aggregate row dicts (with ``group_by``).
         """
         plan = _QueryPlan.build(filters, group_by, order_by, limit)
+        conn = self._connect(create=False)
+        if conn is None:
+            if plan.group_fields:
+                return []
+            return iter(())
+        where, params = self._compile_filters(plan)
         if plan.group_fields:
-            return plan.groups(self.records())
-        return plan.entries(self.records())
+            return self._query_groups(conn, plan, where, params)
+        return self._query_entries(conn, plan, where, params)
 
-    # -- mutation --------------------------------------------------------
+    @staticmethod
+    def _compile_filters(plan: _QueryPlan) -> Tuple[List[str], List[Any]]:
+        where = ["schema_version = ?"]
+        params: List[Any] = [SCHEMA_VERSION]
+        for field, op, value in plan.filters:
+            if value is None:
+                where.append(f"{field.sql} IS {'NULL' if op == '==' else 'NOT NULL'}")
+            else:
+                where.append(f"{field.sql} {'=' if op == '==' else op} ?")
+                params.append(value)
+        return where, params
+
+    def _query_entries(
+        self, conn: sqlite3.Connection, plan: _QueryPlan, where: List[str], params: List[Any]
+    ) -> Iterator[StoreEntry]:
+        order = ["rowid"]
+        if plan.order_field is not None:
+            field = QUERY_FIELDS[plan.order_field]
+            order.insert(0, f"{field.sql} {'DESC' if plan.descending else 'ASC'}")
+        sql = (
+            f"SELECT {_PAYLOAD_COLUMNS} FROM records "
+            f"WHERE {' AND '.join(where)} ORDER BY {', '.join(order)}"
+        )
+        if plan.limit is not None:
+            sql += " LIMIT ?"
+            params = params + [plan.limit]
+
+        def rows() -> Iterator[StoreEntry]:
+            for row in conn.execute(sql, params):
+                entry = self._rebuild(row)
+                if entry is not None:
+                    yield entry
+
+        return rows()
+
+    def _query_groups(
+        self, conn: sqlite3.Connection, plan: _QueryPlan, where: List[str], params: List[Any]
+    ) -> List[Dict[str, Any]]:
+        group_cols = [field.sql for field in plan.group_fields]
+        select = [f'{field.sql} AS "{field.name}"' for field in plan.group_fields]
+        select.append('COUNT(*) AS "count"')
+        select.append('SUM(fidelity IS NOT NULL) AS "with_fidelity"')
+        select.append('SUM(measured IS NOT NULL) AS "with_measured"')
+        for metric in GROUP_METRICS:
+            expr = QUERY_FIELDS[metric].sql
+            select.append(f'MIN({expr}) AS "min_{metric}"')
+            select.append(f'AVG({expr}) AS "mean_{metric}"')
+        # Group keys are always secondary sort keys: ties under an explicit
+        # order_by fall back to the default group-key order.
+        order_terms = [f'"{field.name}" ASC' for field in plan.group_fields]
+        if plan.order_field is not None:
+            order_terms.insert(
+                0, f'"{plan.order_field}" {"DESC" if plan.descending else "ASC"}'
+            )
+        order = ", ".join(order_terms)
+        sql = (
+            f"SELECT {', '.join(select)} FROM records WHERE {' AND '.join(where)} "
+            f"GROUP BY {', '.join(group_cols)} ORDER BY {order}"
+        )
+        if plan.limit is not None:
+            sql += " LIMIT ?"
+            params = params + [plan.limit]
+        cursor = conn.execute(sql, params)
+        names = [desc[0] for desc in cursor.description]
+        return [dict(zip(names, row)) for row in cursor.fetchall()]
+
+    # -- mutation ---------------------------------------------------------
 
     def put(
         self,
@@ -773,175 +833,253 @@ class ArtifactStore:
     ) -> bool:
         """Persist one record; returns ``False`` if nothing new was stored.
 
-        A record stored without fidelity and/or measured stats is
-        *upgraded* when the missing part is provided: a fresh line is
-        appended under the same key carrying every part already known plus
-        the new one (the last line per key wins on load).  A record that
-        already carries everything offered is never rewritten, and the
-        no-op path skips serialization entirely (it is the hot path of
-        fully-cached re-runs).
+        An existing record only changes when a missing part (fidelity /
+        measured) is offered: the upgrade carries every part already
+        known plus the new one, replaces the scenario and result payloads,
+        and keeps the row's original insertion position (UPDATE leaves
+        rowid unchanged).  The decision and the write happen in one
+        ``BEGIN IMMEDIATE`` transaction, so concurrent upgraders never
+        lose a part.
         """
+        conn = self._connect(create=True)
+        return self._write(conn, lambda c: self._put_locked(c, scenario, result, fidelity, measured))
+
+    def _put_locked(
+        self,
+        conn: sqlite3.Connection,
+        scenario: Scenario,
+        result: SimulationResult,
+        fidelity: Optional[FidelityResult],
+        measured: Optional[MeasuredStats],
+    ) -> bool:
         key = scenario_key(scenario)
-        with self._lock:
-            index = self._load_locked()
-            existing = index.get(key)
-            if existing is not None:
-                adds_fidelity = fidelity is not None and existing.fidelity is None
-                adds_measured = measured is not None and existing.measured is None
-                if not adds_fidelity and not adds_measured:
-                    return False
-                # Carry the parts the stored record already has.
-                fidelity = fidelity if fidelity is not None else existing.fidelity
-                measured = measured if measured is not None else existing.measured
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "key": key,
-                "scenario": scenario.to_dict(),
-                "result": result.to_dict(),
-            }
-            if fidelity is not None:
-                record["fidelity"] = fidelity.to_dict()
-            if measured is not None:
-                record["measured"] = measured.to_dict()
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._append_line(line)
-            index[key] = StoreEntry(scenario, result, fidelity, measured)
+        effective_scheme = (
+            scenario.scheme if scenario.scheme is not None else result.design_name
+        )
+        row = conn.execute(
+            "SELECT fidelity, measured FROM records WHERE key = ? AND schema_version = ?",
+            (key, SCHEMA_VERSION),
+        ).fetchone()
+        if row is not None:
+            existing_fidelity, existing_measured = row
+            adds_fidelity = fidelity is not None and existing_fidelity is None
+            adds_measured = measured is not None and existing_measured is None
+            if not adds_fidelity and not adds_measured:
+                return False
+            fidelity_json = _dumps(fidelity.to_dict()) if fidelity is not None else existing_fidelity
+            measured_json = _dumps(measured.to_dict()) if measured is not None else existing_measured
+            conn.execute(
+                "UPDATE records SET schema_version = ?, scenario = ?, result = ?, "
+                "effective_scheme = ?, fidelity = ?, measured = ? WHERE key = ?",
+                (
+                    SCHEMA_VERSION,
+                    _dumps(scenario.to_dict()),
+                    _dumps(result.to_dict()),
+                    effective_scheme,
+                    fidelity_json,
+                    measured_json,
+                    key,
+                ),
+            )
             return True
-
-    def _append_line(self, line: str) -> None:
-        """Append one record line as a single ``O_APPEND`` write.
-
-        Shared-writer hardening: with ``O_APPEND``, each ``os.write`` is
-        one atomic append on local filesystems, so concurrent appenders
-        from different processes (the campaign service's shard workers on
-        a JSONL store) can interleave whole lines but never splice partial
-        ones — the log stays parseable line-by-line.  Note what this does
-        *not* give: another process's appends only become visible here
-        after :meth:`refresh`, and two processes offered the same missing
-        key may both append it (last line per key wins on load, and shard
-        workers write disjoint keys anyway).  For heavy concurrent
-        writing, the SQLite backend — the service's default — takes real
-        transactions instead.
-        """
-        data = (line + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        axis_values = tuple(getattr(scenario, name) for name in AXIS_FIELDS)
+        conn.execute(
+            f"INSERT OR REPLACE INTO records "
+            f"(key, schema_version, {', '.join(AXIS_FIELDS)}, effective_scheme, "
+            f"scenario, result, fidelity, measured) "
+            f"VALUES ({', '.join('?' * (len(AXIS_FIELDS) + 7))})",
+            (key, SCHEMA_VERSION)
+            + axis_values
+            + (
+                effective_scheme,
+                _dumps(scenario.to_dict()),
+                _dumps(result.to_dict()),
+                _dumps(fidelity.to_dict()) if fidelity is not None else None,
+                _dumps(measured.to_dict()) if measured is not None else None,
+            ),
+        )
+        return True
 
     def put_many(self, entries: Iterable[StoreEntry]) -> int:
-        """Persist many entries (in order); returns how many stored anything."""
-        return sum(
+        """Persist many entries in one write transaction; returns how many
+        stored anything (the bulk-load and import path)."""
+        conn = self._connect(create=True)
+
+        def work(c: sqlite3.Connection) -> int:
+            return sum(
+                1
+                for entry in entries
+                if self._put_locked(c, entry.scenario, entry.result, entry.fidelity, entry.measured)
+            )
+
+        return self._write(conn, work)
+
+    def _import_locked(self, conn: sqlite3.Connection, path: Path) -> Tuple[int, int, int]:
+        """Load the JSONL log at ``path`` inside the caller's transaction.
+
+        Returns ``(stored, other_version, unreadable)``: how many records
+        stored anything, how many keys of another ``schema_version`` were
+        kept (verbatim, as rows of their own version that :attr:`skipped`
+        counts), and how many lines could not be read at all.
+        """
+        entries, other_version, unreadable = read_jsonl(path)
+        stored = sum(
             1
             for entry in entries
-            if self.put(
-                entry.scenario, entry.result, fidelity=entry.fidelity, measured=entry.measured
-            )
+            if self._put_locked(conn, entry.scenario, entry.result, entry.fidelity, entry.measured)
         )
+        conn.executemany(
+            "INSERT OR IGNORE INTO records "
+            "(key, schema_version, scenario, result, fidelity, measured) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            [
+                (key, record["schema_version"])
+                + tuple(
+                    json.dumps(record.get(part), sort_keys=True, separators=(",", ":"))
+                    for part in ("scenario", "result")
+                )
+                + tuple(_dumps(record.get(part)) for part in ("fidelity", "measured"))
+                for key, record in other_version.items()
+            ],
+        )
+        return stored, len(other_version), unreadable
 
     def clear(self) -> int:
-        """Delete every record (and the log file); returns how many existed.
+        """Delete every record; returns how many current-schema records existed.
 
-        The in-memory index is *invalidated*, not replaced: the next
-        access re-reads the log from disk, so records appended by another
-        process after the clear — and an accurate :attr:`skipped` count —
-        are picked up instead of reporting the pre-clear state.
+        The database file itself remains (WAL and connections stay
+        valid), so other writers sharing the store keep working.
         """
-        with self._lock:
-            count = len(self._load_locked())
-            if self.path.exists():
-                self.path.unlink()
-            self._index = None
-            self.skipped = 0
-            return count
+        conn = self._connect(create=False)
+        if conn is None:
+            return 0
 
+        def work(c: sqlite3.Connection) -> int:
+            (count,) = c.execute(
+                "SELECT COUNT(*) FROM records WHERE schema_version = ?", (SCHEMA_VERSION,)
+            ).fetchone()
+            c.execute("DELETE FROM records")
+            return int(count) - len(self._corrupt)
 
-# --------------------------------------------------------------------------- #
-# Backend registry, detection, and migration.
-# --------------------------------------------------------------------------- #
-
-#: Registered backend name → backend class (``repro.registry`` exposes a
-#: live ``stores`` registry view over this mapping).
-STORE_BACKENDS: Dict[str, Callable[[Union[str, os.PathLike]], StoreBackend]] = {}
-
-#: The backend ``open_store`` falls back to for a fresh directory.
-DEFAULT_STORE_BACKEND = "jsonl"
-
-
-def register_store_backend(
-    name: str,
-    backend: Callable[[Union[str, os.PathLike]], StoreBackend],
-    replace: bool = False,
-) -> None:
-    """Register a store backend class/factory under ``name``."""
-    if name in STORE_BACKENDS and not replace:
-        raise ValueError(f"store backend {name!r} is already registered")
-    STORE_BACKENDS[name] = backend
-
-
-def available_store_backends() -> Tuple[str, ...]:
-    """Names of all registered store backends, sorted."""
-    return tuple(sorted(STORE_BACKENDS))
-
-
-def detect_store_backend(root: Union[str, os.PathLike]) -> Optional[str]:
-    """Which backend's layout ``root`` holds, or ``None`` for a fresh dir.
-
-    Checks every registered backend's ``FILENAME`` marker; a directory
-    holding both layouts (e.g. mid-migration) resolves to ``sqlite``
-    over ``jsonl`` — pass an explicit backend to ``open_store`` to force
-    the other.
-    """
-    root = Path(root)
-    preferred = [name for name in ("sqlite", "jsonl") if name in STORE_BACKENDS]
-    others = [name for name in sorted(STORE_BACKENDS) if name not in preferred]
-    for name in preferred + others:
-        filename = getattr(STORE_BACKENDS[name], "FILENAME", None)
-        if filename is not None and (root / filename).exists():
-            return name
-    return None
+        count = self._write(conn, work)
+        self._corrupt = set()
+        self._unreadable_lines = 0
+        self._clears += 1
+        return count
 
 
 def open_store(
-    root: Union[str, os.PathLike], backend: Optional[str] = None
-) -> StoreBackend:
-    """Open the store at ``root`` under the named (or detected) backend.
+    root: Union[str, os.PathLike], backend: str = DEFAULT_STORE_BACKEND
+) -> ArtifactStore:
+    """Open the artifact store at ``root``.
 
-    With ``backend=None`` the directory's existing layout wins
-    (:func:`detect_store_backend`); a fresh directory opens as
-    :data:`DEFAULT_STORE_BACKEND`.  Unknown names raise ``ValueError``
-    with a did-you-mean suggestion.
+    ``backend`` can only name the one engine, ``"sqlite"``; any other
+    name raises ``ValueError``.
     """
-    if backend is None:
-        backend = detect_store_backend(root) or DEFAULT_STORE_BACKEND
-    try:
-        factory = STORE_BACKENDS[backend]
-    except KeyError:
+    if backend != DEFAULT_STORE_BACKEND:
         raise ValueError(
-            f"unknown store backend {backend!r}{_suggest(backend, STORE_BACKENDS)} "
-            f"(registered: {', '.join(available_store_backends())})"
-        ) from None
-    return factory(root)
-
-
-def migrate_store(source: StoreBackend, dest: StoreBackend) -> int:
-    """Copy every readable record of ``source`` into ``dest``.
-
-    Entries stream in insertion order through ``dest.put_many``, so keys,
-    record digests and iteration order are preserved exactly (locked by
-    the migration tests); unreadable source records are skipped (counted
-    in ``source.skipped``) and keys already present in ``dest`` merge
-    under the normal upgrade semantics.  Returns how many records stored
-    anything.
-    """
-    if Path(source.path) == Path(dest.path):
-        raise ValueError(
-            f"source and destination are the same store ({source.path}); "
-            f"migrate into a different directory or backend"
+            f"unknown store backend {backend!r}: stores are SQLite only "
+            f"(load a JSONL log with `repro store import LOG DIR`)"
         )
-    return dest.put_many(source.records())
+    return ArtifactStore(root)
 
 
-register_store_backend("jsonl", ArtifactStore)
+# --------------------------------------------------------------------------- #
+# JSONL interchange.
+# --------------------------------------------------------------------------- #
+
+
+def _jsonl_line(entry: StoreEntry) -> str:
+    record: Dict[str, Any] = {
+        "schema_version": SCHEMA_VERSION,
+        "key": scenario_key(entry.scenario),
+        "scenario": entry.scenario.to_dict(),
+        "result": entry.result.to_dict(),
+    }
+    if entry.fidelity is not None:
+        record["fidelity"] = entry.fidelity.to_dict()
+    if entry.measured is not None:
+        record["measured"] = entry.measured.to_dict()
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def export_jsonl(store: ArtifactStore, path: Union[str, os.PathLike]) -> int:
+    """Write every readable record of ``store`` to a JSONL log at ``path``.
+
+    One canonical (sorted-key, compact) JSON object per key, in insertion
+    order, so exporting the import of an export reproduces it byte for
+    byte.  The log is written beside ``path`` and moved into place when
+    complete, so an interrupted export leaves no partial file, and
+    exporting over the legacy log the store imports from reads it first.
+    Returns how many records were written.
+    """
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    count = 0
+    try:
+        with temporary.open("w", encoding="utf-8") as handle:
+            for entry in store.records():
+                handle.write(_jsonl_line(entry) + "\n")
+                count += 1
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+    return count
+
+
+def read_jsonl(
+    path: Union[str, os.PathLike],
+) -> Tuple[List[StoreEntry], Dict[str, Dict[str, Any]], int]:
+    """Read a JSONL log: ``(entries, other_version, unreadable)``.
+
+    A log may hold several lines per key (an upgrade appends a fuller
+    record): the last line wins, at the key's first position.  Keyed
+    lines of another integer ``schema_version`` are returned raw in
+    ``other_version`` (key → record, last line wins); ``unreadable``
+    counts the non-blank lines that are neither — lines that do not parse
+    (a torn last line, say) or whose payload does not rebuild.
+    """
+    index: Dict[str, StoreEntry] = {}
+    other_version: Dict[str, Dict[str, Any]] = {}
+    unreadable = 0
+    with Path(path).open("rb") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                version = record.get("schema_version")
+                if version != SCHEMA_VERSION:
+                    if type(version) is not int or not isinstance(record.get("key"), str):
+                        raise ValueError("unkeyed record of an unknown schema version")
+                    other_version[record["key"]] = record
+                    continue
+                entry = _entry_from_dicts(
+                    record["scenario"],
+                    record["result"],
+                    record.get("fidelity"),
+                    record.get("measured"),
+                )
+                key = record.get("key") or scenario_key(entry.scenario)
+            except (ValueError, KeyError, TypeError, AttributeError):
+                unreadable += 1
+                continue
+            index[key] = entry
+    return list(index.values()), other_version, unreadable
+
+
+def import_jsonl(path: Union[str, os.PathLike], store: ArtifactStore) -> Tuple[int, int]:
+    """Load a JSONL log into ``store`` in one transaction.
+
+    Keys already in ``store`` merge under the usual upgrade rules; keys
+    of another schema version are kept as rows of that version.  Returns
+    ``(stored, skipped)``: how many records stored anything, and how many
+    keys of another schema version plus unreadable lines were skipped.
+    """
+    conn = store._connect(create=True)
+    stored, other_version, unreadable = store._write(
+        conn, lambda c: store._import_locked(c, Path(path))
+    )
+    return stored, other_version + unreadable

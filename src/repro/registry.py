@@ -1,13 +1,13 @@
 """Unified registry surface over every pluggable axis of the evaluation.
 
-The evaluation exposes nine pluggable axes — quantization schemes,
+The evaluation exposes eight pluggable axes — quantization schemes,
 accelerator designs, model-zoo configurations, evaluation tasks,
-index-domain compute engines, artifact-store backends, arrival-trace
-generators, batching policies and campaign-service job states — and each
-historically exposed its own lookup idiom (``get_scheme``,
+index-domain compute engines, arrival-trace generators, batching
+policies and campaign-service job states — and each historically
+exposed its own lookup idiom (``get_scheme``,
 ``build_design``/``DESIGN_FACTORIES``, ``MODEL_CONFIGS``,
-``task_family``, ``ENGINE_BACKENDS``, ``STORE_BACKENDS``,
-``TRACE_GENERATORS``, ``POLICY_KINDS``).  This module
+``task_family``, ``ENGINE_BACKENDS``, ``TRACE_GENERATORS``,
+``POLICY_KINDS``).  This module
 puts one :class:`Registry` protocol in
 front of all of them: ``names()`` / ``get()`` / ``describe()`` plus
 entry-point-style registration, so spec validation, the CLI
@@ -209,9 +209,6 @@ from repro.core.index_compute import (  # noqa: E402
     ENGINE_BACKENDS as _ENGINE_BACKENDS,
     ENGINE_DESCRIPTIONS as _ENGINE_DESCRIPTIONS,
 )
-from repro.experiments.store import (  # noqa: E402
-    STORE_BACKENDS as _STORE_BACKENDS,
-)
 from repro.serving.policies import POLICY_KINDS as _POLICY_KINDS  # noqa: E402
 from repro.serving.traces import TRACE_GENERATORS as _TRACE_GENERATORS  # noqa: E402
 from repro.service.jobs import JOB_STATES as _JOB_STATES  # noqa: E402
@@ -291,16 +288,6 @@ def _describe_engine(name: str, cls: Any) -> str:
 #: executors, measured campaigns) resolves through.
 ENGINES = Registry("engines", _ENGINE_BACKENDS, _describe_engine)
 
-def _describe_store(name: str, backend: Any) -> str:
-    doc = (backend.__doc__ or "artifact-store backend").strip()
-    return doc.splitlines()[0]
-
-
-#: Live view over ``STORE_BACKENDS``: the artifact-store backends
-#: ``open_store``/``--store-backend`` resolve through (JSONL default,
-#: indexed WAL-mode SQLite for big grids and concurrent writers).
-STORES = Registry("stores", _STORE_BACKENDS, _describe_store)
-
 def _describe_by_docstring(fallback: str):
     def describe(name: str, value: Any) -> str:
         doc = (value.__doc__ or fallback).strip()
@@ -338,7 +325,6 @@ REGISTRIES: Dict[str, Registry] = {
     "models": MODELS,
     "tasks": TASKS,
     "engines": ENGINES,
-    "stores": STORES,
     "traces": TRACES,
     "policies": POLICIES,
     "job-states": JOB_STATES,

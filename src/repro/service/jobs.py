@@ -41,13 +41,14 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.experiments import (
+    ArtifactStore,
     CampaignSpec,
     entry_digest,
     iter_campaign,
-    open_store,
     scenario_key,
     shard_spec,
 )
+from repro.experiments.store import DEFAULT_STORE_BACKEND
 from repro.serving import ServingSpec, iter_serving
 
 __all__ = [
@@ -189,13 +190,12 @@ class Coordinator:
     """Owns the shared store and every job's worker pool + supervisor.
 
     One coordinator backs one daemon: all jobs append to one shared
-    artifact store (SQLite by default — the backend proven under
-    concurrent writers), so resubmitting an overlapping grid simulates
-    only what no earlier job persisted.
+    artifact store (SQLite, WAL mode — safe under concurrent writers), so
+    resubmitting an overlapping grid simulates only what no earlier job
+    persisted.
 
     Args:
         store: Directory of the shared artifact store.
-        store_backend: Store backend name (default ``"sqlite"``).
         default_workers: Worker processes per campaign job when a
             submission does not say (serving jobs always run one worker —
             a serving spec has no shardable axis grid).
@@ -208,16 +208,17 @@ class Coordinator:
     #: Hard ceiling on worker processes per job, whatever was requested.
     MAX_WORKERS = 32
 
+    #: The store engine job statuses report.
+    store_backend = DEFAULT_STORE_BACKEND
+
     def __init__(
         self,
         store: Union[str, os.PathLike],
-        store_backend: str = "sqlite",
         default_workers: int = 2,
         max_restarts: int = 3,
         grace_seconds: float = 10.0,
     ) -> None:
         self.store_root = Path(store)
-        self.store_backend = store_backend
         self.default_workers = max(1, int(default_workers))
         self.max_restarts = int(max_restarts)
         self.grace_seconds = float(grace_seconds)
@@ -267,7 +268,6 @@ class Coordinator:
 
         overrides = dict(
             store=str(self.store_root),
-            store_backend=self.store_backend,
             resume=True,
             executor="serial",
             max_workers=None,
@@ -391,7 +391,7 @@ class Coordinator:
             yield from rows
             return
         spec = CampaignSpec.from_dict(job.spec_dict)
-        store = open_store(self.store_root, backend=self.store_backend)
+        store = ArtifactStore(self.store_root)
         entries = {scenario_key(e.scenario): e for e in store.records()}
         for scenario in spec.scenarios():
             key = scenario_key(scenario)

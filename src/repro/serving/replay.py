@@ -60,7 +60,7 @@ class BatchCostModel:
     through ``cache`` (in-memory → backing store) and simulates only on a
     full miss.  Fresh results are written through the cache when
     ``write_through`` (and always collected in :attr:`fresh` so a caller
-    that must not write — e.g. a process-pool worker over a JSONL store —
+    that must not write — e.g. a process-pool worker whose parent persists —
     can hand them to the parent to persist).
 
     Attributes:

@@ -7,14 +7,14 @@ as a frozen value: the workload (model/task/sequence length), the scheme
 (:class:`~repro.serving.policies.PolicySpec`), the accelerator count,
 an optional latency SLO, and how to execute
 (:class:`~repro.experiments.spec.ExecutionPolicy` — the same policy
-campaigns use, including the pluggable store backends).
+campaigns use, including the artifact store).
 
 Batch size is *not* an axis here: it emerges from load under the policy.
 Each distinct formed batch size becomes an ordinary campaign
 :class:`~repro.experiments.scenario.Scenario` with ``batch_size=B``,
 resolved through a :class:`~repro.experiments.campaign.ResultCache` over
 the policy's store — so a serving campaign persists through the same
-JSONL/SQLite backends as every other campaign, re-running a spec against
+artifact store as every other campaign, re-running a spec against
 a warm store simulates nothing, and a killed run resumes without
 re-simulating the batch shapes its completed combos already persisted.
 
@@ -51,7 +51,7 @@ import numpy as np
 from repro.experiments.campaign import EXECUTORS, ResultCache
 from repro.experiments.scenario import KB, Scenario
 from repro.experiments.spec import ExecutionPolicy, _policy_cache
-from repro.experiments.store import open_store
+from repro.experiments.store import ArtifactStore
 from repro.serving.policies import PolicySpec
 from repro.serving.replay import BatchCostModel, ReplayResult, ServingMetrics, replay_trace
 from repro.serving.traces import TraceSpec, generate_trace
@@ -153,8 +153,6 @@ class ServingSpec:
                 f"unknown executor {self.execution.executor!r} "
                 f"(choose from {', '.join(EXECUTORS)})"
             )
-        if self.execution.store_backend is not None:
-            registry.STORES.get(self.execution.store_backend)
         return self
 
     def combos(self) -> List[Scenario]:
@@ -337,14 +335,14 @@ def _replay_combo_task(
 
     Workers only ever *read* the store (``write_through=False``): fresh
     results come back to the parent, which persists them before yielding
-    the combo's record.  That keeps JSONL stores (single-writer) safe
-    under the process executor and makes all three executors produce the
-    same store contents.
+    the combo's record.  That keeps one writer per store under the
+    process executor and makes all three executors produce the same store
+    contents.
     """
-    base, arrivals, policy, num_accelerators, slo_ms, store_path, store_backend = args
+    base, arrivals, policy, num_accelerators, slo_ms, store_path = args
     cache = None
     if store_path is not None:
-        cache = ResultCache(store=open_store(store_path, backend=store_backend))
+        cache = ResultCache(store=ArtifactStore(store_path))
     model = BatchCostModel(base, cache=cache, write_through=False)
     replay = replay_trace(
         arrivals, policy, model.cost, num_accelerators=num_accelerators, slo_ms=slo_ms
@@ -406,8 +404,7 @@ def _stream_serving(
         store_path = getattr(backing, "root", None)
         store_args = [
             (base, arrivals, spec.policy, spec.num_accelerators, spec.slo_ms,
-             None if store_path is None else str(store_path),
-             policy_exec.store_backend)
+             None if store_path is None else str(store_path))
             for base in combos
         ]
         with ProcessPoolExecutor(max_workers=policy_exec.max_workers) as pool:

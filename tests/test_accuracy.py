@@ -17,11 +17,16 @@ Four guarantees the fidelity layer must give:
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments import (
     ArtifactStore,
+    AxisGrid,
+    CampaignSpec,
+    Enrichments,
+    ExecutionPolicy,
     ResultCache,
     Scenario,
     ScenarioRecord,
@@ -29,9 +34,12 @@ from repro.experiments import (
     accuracy_key,
     accuracy_scheme_for,
     evaluate_fidelity,
-    expand_grid,
     fidelity_digest,
+    export_jsonl,
     run_campaign,
+    run_spec,
+    scenario_key,
+    store_digest,
     supported_accuracy_schemes,
     supports_accuracy,
 )
@@ -177,21 +185,38 @@ class TestEvaluateFidelity:
         assert fidelity_digest(first) == fidelity_digest(second)
 
 
+ACCURACY_AXES = AxisGrid(
+    models=("bert-base",),
+    tasks=("mnli",),
+    sequence_lengths=(None, 64),
+    batch_sizes=(1, 4),
+    designs=("mokey",),
+    buffer_bytes=(512 * KB,),
+)
+
+
 def accuracy_grid():
     """One (model, task, scheme) accuracy key spread over hardware axes."""
-    return expand_grid(
-        models=("bert-base",),
-        tasks=("mnli",),
-        sequence_lengths=(None, 64),
-        batch_sizes=(1, 4),
-        designs=("mokey",),
-        buffer_bytes=(512 * KB,),
+    return ACCURACY_AXES.scenarios()
+
+
+def accuracy_spec(axes=ACCURACY_AXES, settings=TINY, **execution):
+    """An accuracy campaign over ``axes`` (default: :func:`accuracy_grid`)."""
+    return CampaignSpec(
+        axes=axes,
+        enrichments=Enrichments(accuracy=True, accuracy_settings=settings),
+        execution=ExecutionPolicy(**execution),
     )
+
+
+#: accuracy_grid()[:1] and accuracy_grid()[:2] as axes.
+FIRST_POINT = replace(ACCURACY_AXES, sequence_lengths=(None,), batch_sizes=(1,))
+FIRST_TWO = replace(ACCURACY_AXES, sequence_lengths=(None,))
 
 
 class TestAccuracyCampaign:
     def test_one_quantization_serves_many_points(self):
-        campaign = run_campaign(accuracy_grid(), with_accuracy=True, accuracy_settings=TINY)
+        campaign = run_spec(accuracy_spec())
         assert len(campaign) == 4
         assert campaign.fidelity_evaluated == 1
         digests = {fidelity_digest(record.fidelity) for record in campaign}
@@ -204,30 +229,30 @@ class TestAccuracyCampaign:
         assert "fp_score" not in campaign.to_dicts()[0]
 
     def test_rows_gain_fidelity_columns(self):
-        campaign = run_campaign(accuracy_grid()[:1], with_accuracy=True, accuracy_settings=TINY)
+        campaign = run_spec(accuracy_spec(FIRST_POINT))
         row = campaign.to_dicts()[0]
         assert row["fp_score"] == pytest.approx(100.0)
         assert "weight_only_err" in row and "weight_outlier_pct" in row
 
     def test_unsupported_scheme_fails_before_simulating(self, compute_only_scheme):
-        grid = expand_grid(schemes=(compute_only_scheme,), designs=("mokey",))
+        axes = AxisGrid(schemes=(compute_only_scheme,), designs=("mokey",))
         cache = ResultCache()
         with pytest.raises(UnsupportedSchemeError):
-            run_campaign(grid, cache=cache, with_accuracy=True, accuracy_settings=TINY)
+            run_spec(accuracy_spec(axes), cache=cache)
         assert cache.misses == 0 and len(cache) == 0
 
     def test_unknown_task_fails_before_simulating(self):
         # The hardware side tolerates unknown tasks (they default the
         # sequence length), but the accuracy side cannot label a dataset
         # for them — the campaign must reject the grid up front.
-        grid = expand_grid(tasks=("not-a-task",), designs=("mokey",))
+        axes = AxisGrid(tasks=("not-a-task",), designs=("mokey",))
         cache = ResultCache()
         with pytest.raises(ValueError):
-            run_campaign(grid, cache=cache, with_accuracy=True, accuracy_settings=TINY)
+            run_spec(accuracy_spec(axes), cache=cache)
         assert cache.misses == 0 and len(cache) == 0
 
     def test_scenario_record_round_trips_with_fidelity(self):
-        campaign = run_campaign(accuracy_grid()[:1], with_accuracy=True, accuracy_settings=TINY)
+        campaign = run_spec(accuracy_spec(FIRST_POINT))
         record = campaign.records[0]
         rebuilt = ScenarioRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert rebuilt.fidelity == record.fidelity
@@ -236,32 +261,16 @@ class TestAccuracyCampaign:
 
 class TestAccuracyStore:
     def test_fidelity_round_trips_through_store(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        campaign = run_campaign(
-            accuracy_grid(),
-            cache=ResultCache(store=store),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        campaign = run_spec(accuracy_spec(store=str(tmp_path / "store")))
         fresh = ArtifactStore(tmp_path / "store")
         for record in campaign:
             assert fresh.get_fidelity(record.scenario) == record.fidelity
         assert all(entry.fidelity is not None for entry in fresh.records())
 
     def test_second_campaign_simulates_and_evaluates_nothing(self, tmp_path):
-        store_root = tmp_path / "store"
-        run_campaign(
-            accuracy_grid(),
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
-        again = run_campaign(
-            accuracy_grid(),
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        spec = accuracy_spec(store=str(tmp_path / "store"))
+        run_spec(spec)
+        again = run_spec(spec)
         assert again.simulated_count == 0
         assert again.fidelity_evaluated == 0
         assert all(record.fidelity is not None for record in again)
@@ -272,12 +281,7 @@ class TestAccuracyStore:
         first = run_campaign(grid, cache=ResultCache(store=ArtifactStore(store_root)))
         assert all(record.fidelity is None for record in first)
 
-        upgraded = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        upgraded = run_spec(accuracy_spec(FIRST_TWO, store=str(store_root)))
         assert upgraded.simulated_count == 0  # hardware came from the store
         assert upgraded.fidelity_evaluated == 1
         fresh = ArtifactStore(store_root)
@@ -290,31 +294,23 @@ class TestAccuracyStore:
                 batch_size=scenario.batch_size,
             )
 
-    def test_upgrade_appends_rather_than_rewrites(self, tmp_path):
+    def test_upgrade_replaces_the_record_in_place(self, tmp_path):
         store_root = tmp_path / "store"
         scenario = accuracy_grid()[0]
         run_campaign([scenario], cache=ResultCache(store=ArtifactStore(store_root)))
-        run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
-        lines = (store_root / "records.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 2  # original + upgraded line under the same key
-        assert "fidelity" not in json.loads(lines[0])
-        assert json.loads(lines[1])["fidelity"]["scheme"] == "mokey"
-        assert len(ArtifactStore(store_root)) == 1  # last line wins
+        assert ArtifactStore(store_root).get_fidelity(scenario) is None
+        run_spec(accuracy_spec(FIRST_POINT, store=str(store_root)))
+        store = ArtifactStore(store_root)
+        assert store.keys() == [scenario_key(scenario)]  # one record, same key
+        assert store.get_fidelity(scenario).scheme == "mokey"
+        export_jsonl(store, tmp_path / "out.jsonl")
+        lines = (tmp_path / "out.jsonl").read_text().strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["fidelity"]["scheme"] == "mokey"
 
     def test_different_settings_never_serve_stale_fidelity(self, tmp_path):
-        store_root = tmp_path / "store"
-        scenario = accuracy_grid()[0]
-        first = run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-        )
+        store_root = str(tmp_path / "store")
+        first = run_spec(accuracy_spec(FIRST_POINT, store=store_root))
         other_settings = AccuracySettings(
             pool_samples=TINY.pool_samples + 8,
             profile_samples=TINY.profile_samples,
@@ -323,12 +319,7 @@ class TestAccuracyStore:
             golden_samples=TINY.golden_samples,
             golden_repeats=TINY.golden_repeats,
         )
-        second = run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=other_settings,
-        )
+        second = run_spec(accuracy_spec(FIRST_POINT, settings=other_settings, store=store_root))
         # The store holds TINY's fidelity; a differently-parameterised run
         # must re-evaluate rather than silently serve it.
         assert second.fidelity_evaluated == 1
@@ -341,42 +332,28 @@ class TestAccuracyStore:
     def test_same_seed_means_identical_store_digests(self, tmp_path):
         digests = []
         for name in ("a", "b"):
-            run_campaign(
-                accuracy_grid(),
-                cache=ResultCache(store=ArtifactStore(tmp_path / name)),
-                with_accuracy=True,
-                accuracy_settings=TINY,
-                executor="serial",
-            )
-            blob = (tmp_path / name / "records.jsonl").read_bytes()
-            digests.append(hashlib.sha256(blob).hexdigest())
+            run_spec(accuracy_spec(executor="serial", store=str(tmp_path / name)))
+            store = ArtifactStore(tmp_path / name)
+            export_jsonl(store, tmp_path / f"{name}.jsonl")
+            blob = (tmp_path / f"{name}.jsonl").read_bytes()
+            digests.append((hashlib.sha256(blob).hexdigest(), store_digest(store)))
         assert digests[0] == digests[1]
 
 
 class TestAccuracyExecutorEquivalence:
-    def equivalence_grid(self):
+    EQUIVALENCE_AXES = AxisGrid(
         # Two accuracy keys so the process pool actually fans out.
-        return expand_grid(
-            models=("bert-base", "bert-large"),
-            tasks=("mnli",),
-            designs=("mokey",),
-            buffer_bytes=(256 * KB, 512 * KB),
-        )
+        models=("bert-base", "bert-large"),
+        tasks=("mnli",),
+        designs=("mokey",),
+        buffer_bytes=(256 * KB, 512 * KB),
+    )
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_matches_serial_bit_for_bit(self, executor):
-        serial = run_campaign(
-            self.equivalence_grid(),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-            executor="serial",
-        )
-        parallel = run_campaign(
-            self.equivalence_grid(),
-            with_accuracy=True,
-            accuracy_settings=TINY,
-            executor=executor,
-            max_workers=2,
+        serial = run_spec(accuracy_spec(self.EQUIVALENCE_AXES, executor="serial"))
+        parallel = run_spec(
+            accuracy_spec(self.EQUIVALENCE_AXES, executor=executor, max_workers=2)
         )
         assert len(parallel) == len(serial)
         for expected, measured in zip(serial, parallel):

@@ -1,6 +1,7 @@
 """Tests for the ``repro`` CLI (``python -m repro``)."""
 
 import json
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -226,7 +227,7 @@ class TestAccuracyRun:
         assert len(err.strip().splitlines()) == 1
         assert "accuracy" in err
         # Nothing was simulated or stored before the failure.
-        assert not (tmp_path / "store" / "records.jsonl").exists()
+        assert not (tmp_path / "store" / "records.sqlite").exists()
 
 
 class TestTable1:
@@ -397,7 +398,7 @@ class TestRegistryList:
         assert code == 0
         for kind in (
             "schemes", "designs", "models", "tasks", "engines",
-            "stores", "traces", "policies", "job-states",
+            "traces", "policies", "job-states",
         ):
             assert kind in out
         assert "mokey" in out
@@ -417,7 +418,7 @@ class TestRegistryList:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {
-            "schemes", "designs", "models", "tasks", "engines", "stores",
+            "schemes", "designs", "models", "tasks", "engines",
             "traces", "policies", "job-states",
         }
 
@@ -462,21 +463,19 @@ class TestServeSim:
         drop = lambda row: {k: v for k, v in row.items() if k != "simulated"}
         assert [drop(row) for row in warm] == [drop(row) for row in cold]
 
-    def test_executors_and_backends_are_bit_identical(self, tmp_path, capsys):
+    def test_executors_are_bit_identical(self, tmp_path, capsys):
         outputs = set()
-        for backend in ("jsonl", "sqlite"):
-            for executor in ("serial", "thread", "process"):
-                code, out, _err = run_cli(
-                    self.ARGS + [
-                        "--store", str(tmp_path / f"{backend}-{executor}"),
-                        "--store-backend", backend,
-                        "--executor", executor,
-                        "--format", "csv",
-                    ],
-                    capsys,
-                )
-                assert code == 0
-                outputs.add(out)
+        for executor in ("serial", "thread", "process"):
+            code, out, _err = run_cli(
+                self.ARGS + [
+                    "--store", str(tmp_path / executor),
+                    "--executor", executor,
+                    "--format", "csv",
+                ],
+                capsys,
+            )
+            assert code == 0
+            outputs.add(out)
         assert len(outputs) == 1
 
     def test_spec_file_round_trip(self, tmp_path, capsys):
@@ -543,32 +542,31 @@ def test_table1_unknown_scheme_subprocess_has_no_traceback(tmp_path):
 
 
 class TestStoreBackendsCli:
-    def _run_grid(self, store, capsys, backend=None):
-        args = [
-            "campaign", "run",
-            "--models", "bert-base", "bert-large",
-            "--designs", "mokey", "tensor-cores",
-            "--store", store,
-        ]
-        if backend is not None:
-            args += ["--store-backend", backend]
-        return run_cli(args, capsys)
+    def _run_grid(self, store, capsys):
+        return run_cli(
+            [
+                "campaign", "run",
+                "--models", "bert-base", "bert-large",
+                "--designs", "mokey", "tensor-cores",
+                "--store", store,
+            ],
+            capsys,
+        )
 
     def test_sqlite_campaign_run_and_cached_rerun(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        code, _out, err = self._run_grid(store, capsys, backend="sqlite")
+        code, _out, err = self._run_grid(store, capsys)
         assert code == 0
         assert "4 simulated" in err
         assert (tmp_path / "store" / "records.sqlite").exists()
         assert not (tmp_path / "store" / "records.jsonl").exists()
-        # The second run auto-detects the backend: no --store-backend needed.
         code, _out, err = self._run_grid(store, capsys)
         assert code == 0
         assert "0 simulated" in err
 
     def test_report_where_and_top_on_sqlite(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(
             ["campaign", "report", "--store", store, "--where", "design=mokey",
              "--format", "json"],
@@ -588,7 +586,7 @@ class TestStoreBackendsCli:
 
     def test_report_group_by_on_sqlite(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(
             ["campaign", "report", "--store", store, "--group-by", "model", "design",
              "--order-by=-count", "--format", "json"],
@@ -605,7 +603,7 @@ class TestStoreBackendsCli:
         # it composes with --group-by like any other filter (it used to be
         # a Python post-filter that parser.error'd on this combination).
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(
             ["campaign", "report", "--store", store, "--scheme", "mokey",
              "--group-by", "model", "--format", "json"],
@@ -624,7 +622,7 @@ class TestStoreBackendsCli:
         # '-t...' as a flag); '~FIELD' and 'FIELD:desc' work as plain
         # arguments too, and all three must order identically.
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         args = ["campaign", "report", "--store", store, "--format", "json"]
         if spelling.startswith("--"):
             args.append(spelling)
@@ -645,7 +643,7 @@ class TestStoreBackendsCli:
 
     def test_report_bad_where_field_is_a_usage_error(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, _out, err = run_cli(
             ["campaign", "report", "--store", store, "--where", "modle=x"], capsys
         )
@@ -654,44 +652,60 @@ class TestStoreBackendsCli:
 
     def test_list_on_sqlite_store(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        self._run_grid(store, capsys, backend="sqlite")
+        self._run_grid(store, capsys)
         code, out, _err = run_cli(["campaign", "list", "--store", store], capsys)
         assert code == 0
         assert "4 records" in out
 
-    def test_store_migrate_round_trip(self, tmp_path, capsys):
-        jsonl_store = str(tmp_path / "a")
-        self._run_grid(jsonl_store, capsys)  # default jsonl
-        code, out, _err = run_cli(
-            ["store", "migrate", jsonl_store, str(tmp_path / "b"),
-             "--to-backend", "sqlite"],
-            capsys,
-        )
-        assert code == 0
-        assert "migrated 4 records" in out
-        assert (tmp_path / "b" / "records.sqlite").exists()
-        code, out, _err = run_cli(
-            ["store", "migrate", str(tmp_path / "b"), str(tmp_path / "c"),
-             "--to-backend", "jsonl"],
-            capsys,
-        )
-        assert code == 0
-        assert "migrated 4 records" in out
-        original = (tmp_path / "a" / "records.jsonl").read_text()
-        round_tripped = (tmp_path / "c" / "records.jsonl").read_text()
-        assert round_tripped == original
-
-    def test_store_migrate_missing_source_fails(self, tmp_path, capsys):
+    def test_store_export_missing_store_fails(self, tmp_path, capsys):
         code, _out, err = run_cli(
-            ["store", "migrate", str(tmp_path / "nope"), str(tmp_path / "dst")], capsys
+            ["store", "export", str(tmp_path / "nope"), str(tmp_path / "out.jsonl")], capsys
         )
         assert code == 2
-        assert "no jsonl store at" in err
+        assert "no store at" in err
+        assert not (tmp_path / "nope").exists()
 
-    def test_registry_list_stores(self, capsys):
-        code, out, _err = run_cli(["registry", "list", "stores"], capsys)
+    def test_store_import_missing_log_fails(self, tmp_path, capsys):
+        code, _out, err = run_cli(
+            ["store", "import", str(tmp_path / "nope.jsonl"), str(tmp_path / "dst")], capsys
+        )
+        assert code == 2
+        assert "no JSONL log at" in err
+
+    def test_store_import_reports_stored_and_skipped_lines(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        self._run_grid(store, capsys)
+        log = tmp_path / "records.jsonl"
+        code, _out, _err = run_cli(["store", "export", store, str(log)], capsys)
         assert code == 0
-        assert "jsonl" in out and "sqlite" in out
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write("corrupt line\n")
+        dst = str(tmp_path / "dst")
+        code, out, _err = run_cli(["store", "import", str(log), dst], capsys)
+        assert code == 0
+        assert "imported 4 records" in out
+        assert "[1 unreadable lines skipped]" in out
+        # Importing the same log again stores nothing new.
+        code, out, _err = run_cli(["store", "import", str(log), dst], capsys)
+        assert code == 0
+        assert "imported 0 records" in out
+
+    def test_store_export_onto_the_legacy_log_keeps_its_records(self, tmp_path, capsys):
+        # Exporting a legacy directory over its own log must import the
+        # log before the export replaces it.
+        store = str(tmp_path / "store")
+        self._run_grid(store, capsys)
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        log = legacy / "records.jsonl"
+        code, _out, _err = run_cli(["store", "export", store, str(log)], capsys)
+        assert code == 0
+        before = log.read_bytes()
+        code, out, _err = run_cli(["store", "export", str(legacy), str(log)], capsys)
+        assert code == 0
+        assert "exported 4 records" in out
+        assert log.read_bytes() == before
+        assert not list(legacy.glob("*.tmp"))
 
     def test_registry_list_job_states(self, capsys):
         code, out, _err = run_cli(["registry", "list", "job-states"], capsys)
@@ -701,12 +715,11 @@ class TestStoreBackendsCli:
 
 
 class TestStoreStats:
-    def _populate(self, tmp_path, capsys, backend="sqlite"):
+    def _populate(self, tmp_path, capsys):
         root = tmp_path / "stats-store"
         code, _out, _err = run_cli(
             [
                 "campaign", "run", "--store", str(root),
-                "--store-backend", backend,
                 "--batch-sizes", "1", "2", "--designs", "mokey", "tensor-cores",
             ],
             capsys,
@@ -724,20 +737,23 @@ class TestStoreStats:
         assert "skipped (unreadable/old-schema): 0" in out
 
     def test_stats_json_is_parseable(self, tmp_path, capsys):
-        root = self._populate(tmp_path, capsys, backend="jsonl")
+        root = self._populate(tmp_path, capsys)
         code, out, _err = run_cli(["store", "stats", root, "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["backend"] == "jsonl"
+        assert payload["backend"] == "sqlite"
         assert payload["records"] == 4
         assert payload["schema_version"] == 1
         assert payload["fidelity_coverage"] == 0.0
         assert payload["skipped"] == 0
 
-    def test_stats_counts_skipped_lines(self, tmp_path, capsys):
-        root = self._populate(tmp_path, capsys, backend="jsonl")
-        with open(tmp_path / "stats-store" / "records.jsonl", "a", encoding="utf-8") as fh:
-            fh.write("this is not json\n")
+    def test_stats_counts_skipped_records(self, tmp_path, capsys):
+        root = self._populate(tmp_path, capsys)
+        with sqlite3.connect(str(tmp_path / "stats-store" / "records.sqlite")) as conn:
+            conn.execute(
+                "INSERT INTO records (key, schema_version, scenario, result) "
+                "VALUES ('future', 99, '{}', '{}')"
+            )
         code, out, _err = run_cli(["store", "stats", root, "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
@@ -747,7 +763,7 @@ class TestStoreStats:
     def test_stats_missing_store_fails_cleanly(self, tmp_path, capsys):
         code, _out, err = run_cli(["store", "stats", str(tmp_path / "nope")], capsys)
         assert code == 2
-        assert "no jsonl store at" in err
+        assert "no store at" in err
 
 
 def test_python_dash_m_entry_point(tmp_path):

@@ -35,11 +35,16 @@ from typing import Dict, List
 
 from repro.accelerator.metrics import SimulationResult
 from repro.experiments import (
+    AxisGrid,
+    CampaignSpec,
+    Enrichments,
+    ExecutionPolicy,
     Scenario,
     available_designs,
     expand_grid,
     fidelity_digest,
     run_campaign,
+    run_spec,
 )
 from repro.schemes import available_schemes
 from repro.transformer.model_zoo import MODEL_CONFIGS, PAPER_MODELS
@@ -82,13 +87,16 @@ def load_goldens() -> Dict[str, str]:
         return json.load(handle)
 
 
+ACCURACY_GOLDEN_AXES = AxisGrid(
+    workloads=tuple((model, task, seq) for (model, task, seq, _head) in PAPER_MODELS),
+    designs=("mokey",),
+    buffer_bytes=(GOLDEN_BUFFER_BYTES,),
+)
+
+
 def accuracy_golden_grid() -> List[Scenario]:
     """The paper's Table I grid: eight (model, task) pairs under Mokey."""
-    return expand_grid(
-        workloads=[(model, task, seq) for (model, task, seq, _head) in PAPER_MODELS],
-        designs=("mokey",),
-        buffer_bytes=(GOLDEN_BUFFER_BYTES,),
-    )
+    return ACCURACY_GOLDEN_AXES.scenarios()
 
 
 def accuracy_golden_label(scenario: Scenario) -> str:
@@ -96,7 +104,13 @@ def accuracy_golden_label(scenario: Scenario) -> str:
 
 
 def compute_accuracy_goldens() -> Dict[str, str]:
-    campaign = run_campaign(accuracy_golden_grid(), with_accuracy=True, executor="serial")
+    campaign = run_spec(
+        CampaignSpec(
+            axes=ACCURACY_GOLDEN_AXES,
+            enrichments=Enrichments(accuracy=True),
+            execution=ExecutionPolicy(executor="serial"),
+        )
+    )
     return {
         accuracy_golden_label(r.scenario): fidelity_digest(r.fidelity) for r in campaign
     }

@@ -7,8 +7,9 @@ Covers the three layers the measured pipeline spans:
    operation counts matching the analytic workload GEMM set exactly;
 2. :mod:`repro.experiments.measured` — the deterministic, serializable
    :class:`MeasuredStats` and its memo key;
-3. the campaign/store/CLI join — ``run_campaign(..., with_measured=True)``,
-   record upgrades, and ``repro campaign run --with-measured-stats``.
+3. the campaign/store/CLI join — ``Enrichments(measured=True)`` on a
+   campaign spec, record upgrades, and ``repro campaign run
+   --with-measured-stats``.
 
 Campaign-level tests register a scaled-down ``nano`` model in the zoo so
 a measured layer execution costs milliseconds; the realistic full-width
@@ -17,6 +18,7 @@ path (BERT-Base at seq 128 in seconds) is exercised by
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,16 +28,20 @@ from repro.accelerator.simulator import AcceleratorSimulator
 from repro.accelerator.workloads import encoder_gemms, model_workload
 from repro.experiments import (
     ArtifactStore,
+    AxisGrid,
+    CampaignSpec,
+    Enrichments,
+    ExecutionPolicy,
     MeasuredStats,
     MeasurementSettings,
     ResultCache,
     Scenario,
     ScenarioRecord,
     evaluate_measured,
-    expand_grid,
     measured_digest,
     measured_key,
     run_campaign,
+    run_spec,
 )
 from repro.transformer.config import TransformerConfig
 from repro.transformer.index_execution import (
@@ -183,29 +189,42 @@ class TestMeasuredStats:
         assert TINY_SETTINGS.digest() != MeasurementSettings().digest()
 
 
-def nano_grid(model):
-    return expand_grid(
+def nano_axes(model, designs=("mokey", "tensor-cores"), buffer_bytes=(256 * KB, 512 * KB)):
+    return AxisGrid(
         models=(model,),
         sequence_lengths=(8,),
-        designs=("mokey", "tensor-cores"),
-        buffer_bytes=(256 * KB, 512 * KB),
+        designs=designs,
+        buffer_bytes=buffer_bytes,
     )
+
+
+def nano_grid(model):
+    return nano_axes(model).scenarios()
+
+
+def measured_spec(axes, **execution):
+    return CampaignSpec(
+        axes=axes,
+        enrichments=Enrichments(measured=True, measurement_settings=TINY_SETTINGS),
+        execution=ExecutionPolicy(**execution),
+    )
+
+
+def first_point(model):
+    """nano_grid(model)[:1] as axes."""
+    return nano_axes(model, designs=("mokey",), buffer_bytes=(256 * KB,))
 
 
 class TestMeasuredCampaign:
     def test_one_measurement_serves_many_points(self, nano_model):
-        campaign = run_campaign(
-            nano_grid(nano_model), with_measured=True, measurement_settings=TINY_SETTINGS
-        )
+        campaign = run_spec(measured_spec(nano_axes(nano_model)))
         assert len(campaign) == 4
         assert campaign.measured_evaluated == 1
         digests = {measured_digest(record.measured) for record in campaign}
         assert len(digests) == 1
 
     def test_rows_gain_measured_columns(self, nano_model):
-        campaign = run_campaign(
-            nano_grid(nano_model)[:1], with_measured=True, measurement_settings=TINY_SETTINGS
-        )
+        campaign = run_spec(measured_spec(first_point(nano_model)))
         row = campaign.to_dicts()[0]
         assert row["measured_gaussian_pairs"] > 0
         assert row["measured_outlier_pairs"] >= 0
@@ -216,28 +235,16 @@ class TestMeasuredCampaign:
         assert bare.records[0].measured is None
 
     def test_record_round_trips_with_measured(self, nano_model):
-        campaign = run_campaign(
-            nano_grid(nano_model)[:1], with_measured=True, measurement_settings=TINY_SETTINGS
-        )
+        campaign = run_spec(measured_spec(first_point(nano_model)))
         record = campaign.records[0]
         rebuilt = ScenarioRecord.from_dict(json.loads(json.dumps(record.to_dict())))
         assert rebuilt.measured == record.measured
         assert rebuilt.scenario == record.scenario
 
     def test_store_round_trip_and_no_reevaluation(self, nano_model, tmp_path):
-        grid = nano_grid(nano_model)
-        first = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(tmp_path / "store")),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
-        again = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(tmp_path / "store")),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        spec = measured_spec(nano_axes(nano_model), store=str(tmp_path / "store"))
+        first = run_spec(spec)
+        again = run_spec(spec)
         assert again.simulated_count == 0
         assert again.measured_evaluated == 0
         for expected, rerun in zip(first, again):
@@ -248,11 +255,8 @@ class TestMeasuredCampaign:
         store_root = tmp_path / "store"
         bare = run_campaign(grid, cache=ResultCache(store=ArtifactStore(store_root)))
         assert all(record.measured is None for record in bare)
-        upgraded = run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
+        upgraded = run_spec(
+            measured_spec(nano_axes(nano_model, designs=("mokey",)), store=str(store_root))
         )
         assert upgraded.simulated_count == 0
         assert upgraded.measured_evaluated == 1
@@ -276,37 +280,22 @@ class TestMeasuredCampaign:
             golden_samples=3000,
             golden_repeats=1,
         )
-        scenario = nano_grid(nano_model)[0]
-        store_root = tmp_path / "store"
-        run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_accuracy=True,
-            accuracy_settings=accuracy_tiny,
+        store_root = str(tmp_path / "store")
+        spec = measured_spec(first_point(nano_model), store=store_root)
+        run_spec(
+            spec.with_enrichments(
+                accuracy=True, accuracy_settings=accuracy_tiny, measured=False
+            )
         )
-        run_campaign(
-            [scenario],
-            cache=ResultCache(store=ArtifactStore(store_root)),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        run_spec(spec)
         entry = list(ArtifactStore(store_root).records())[0]
         assert entry.fidelity is not None
         assert entry.measured is not None
 
     def test_executor_equivalence(self, nano_model):
-        serial = run_campaign(
-            nano_grid(nano_model),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-            executor="serial",
-        )
-        threaded = run_campaign(
-            nano_grid(nano_model),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-            executor="thread",
-            max_workers=2,
+        serial = run_spec(measured_spec(nano_axes(nano_model), executor="serial"))
+        threaded = run_spec(
+            measured_spec(nano_axes(nano_model), executor="thread", max_workers=2)
         )
         for expected, measured in zip(serial, threaded):
             assert measured.measured == expected.measured
@@ -319,22 +308,12 @@ class TestMeasuredCampaign:
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("nano model registration does not survive spawn-based pools")
-        grid = expand_grid(
-            models=(nano_model,),
+        axes = replace(
+            nano_axes(nano_model, designs=("mokey",), buffer_bytes=(256 * KB,)),
             sequence_lengths=(8, 12),
-            designs=("mokey",),
-            buffer_bytes=(256 * KB,),
         )
-        serial = run_campaign(
-            grid, with_measured=True, measurement_settings=TINY_SETTINGS, executor="serial"
-        )
-        pooled = run_campaign(
-            grid,
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-            executor="process",
-            max_workers=2,
-        )
+        serial = run_spec(measured_spec(axes, executor="serial"))
+        pooled = run_spec(measured_spec(axes, executor="process", max_workers=2))
         assert pooled.measured_evaluated == 2
         for expected, measured in zip(serial, pooled):
             assert measured.measured == expected.measured
@@ -390,13 +369,7 @@ class TestMeasuredCli:
         from repro.cli import main
 
         store = str(tmp_path / "store")
-        grid = nano_grid(nano_model)[:1]
-        run_campaign(
-            grid,
-            cache=ResultCache(store=ArtifactStore(store)),
-            with_measured=True,
-            measurement_settings=TINY_SETTINGS,
-        )
+        run_spec(measured_spec(first_point(nano_model), store=store))
         code = main(["campaign", "report", "--store", store, "--format", "json"])
         captured = capsys.readouterr()
         assert code == 0

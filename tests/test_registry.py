@@ -23,7 +23,7 @@ class TestProtocol:
     def test_kinds_cover_every_pluggable_axis(self):
         assert registry_kinds() == (
             "designs", "engines", "job-states", "models", "policies",
-            "schemes", "stores", "tasks", "traces",
+            "schemes", "tasks", "traces",
         )
         for kind in registry_kinds():
             assert get_registry(kind) is REGISTRIES[kind]

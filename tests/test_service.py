@@ -16,8 +16,8 @@ and replacing a worker mid-campaign — is locked here end to end:
   specs run as single-worker jobs.
 
 Workers are real spawned processes, so these tests are the slowest in
-the suite — grids stay tiny and the store is SQLite (the concurrent
-writer backend the service defaults to).
+the suite — grids stay tiny; every shard appends to one shared SQLite
+store.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ def _oracle_digest(tmp_path, spec_dict):
     """Single-process run of the same spec: the bit-identity reference."""
     root = tmp_path / "oracle"
     spec = CampaignSpec.from_dict(spec_dict).with_execution(
-        store=str(root), store_backend="sqlite", resume=True
+        store=str(root), resume=True
     )
     run_spec(spec)
-    return store_digest(open_store(root, backend="sqlite"))
+    return store_digest(open_store(root))
 
 
 class _FailingStartContext:
@@ -90,7 +90,7 @@ class _FailingStartContext:
 
 @pytest.fixture
 def coordinator(tmp_path):
-    co = Coordinator(tmp_path / "svc-store", store_backend="sqlite")
+    co = Coordinator(tmp_path / "svc-store")
     yield co
     co.drain()
 
@@ -98,7 +98,7 @@ def coordinator(tmp_path):
 @pytest.fixture
 def service(tmp_path):
     """A live daemon on an ephemeral port + a client bound to it."""
-    co = Coordinator(tmp_path / "svc-store", store_backend="sqlite")
+    co = Coordinator(tmp_path / "svc-store")
     server = make_server("127.0.0.1", 0, co)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -120,7 +120,7 @@ class TestCoordinator:
         assert status["error"] is None
         assert status["progress"]["completed"] == status["progress"]["total"] == 4
         service_digest = store_digest(
-            open_store(coordinator.store_root, backend="sqlite")
+            open_store(coordinator.store_root)
         )
         assert service_digest == oracle
 
@@ -133,7 +133,7 @@ class TestCoordinator:
         assert [row["key"] for row in rows] == [
             scenario_key(s) for s in spec.scenarios()
         ]
-        stored = store_digest(open_store(coordinator.store_root, backend="sqlite"))
+        stored = store_digest(open_store(coordinator.store_root))
         assert {row["key"]: row["digest"] for row in rows} == stored
         for row in rows:
             assert set(row) >= {"key", "digest", "scenario", "result"}
@@ -165,7 +165,7 @@ class TestCoordinator:
         status = coordinator.wait(job_id, timeout=WAIT)
         assert status["state"] == "completed", status["error"]
         service_digest = store_digest(
-            open_store(coordinator.store_root, backend="sqlite")
+            open_store(coordinator.store_root)
         )
         assert service_digest == oracle
         if killed:  # the kill can race with shard completion; when it
@@ -194,7 +194,7 @@ class TestCoordinator:
         # Cancellation can race with completion on a fast grid; either
         # terminal state is legitimate, but nothing may be lost.
         assert status["state"] in ("cancelled", "completed")
-        persisted = store_digest(open_store(coordinator.store_root, backend="sqlite"))
+        persisted = store_digest(open_store(coordinator.store_root))
         assert len(persisted) >= status["progress"]["completed"] > 0
         rows = list(coordinator.records(job_id))
         assert {row["key"] for row in rows} <= set(persisted)
@@ -223,7 +223,7 @@ class TestCoordinator:
         status = coordinator.wait(job_id, timeout=WAIT)
         assert status["state"] == "completed"
         assert [shard["total"] for shard in status["shards"]] == [1, 0, 0]
-        assert store_digest(open_store(coordinator.store_root, backend="sqlite")) == oracle
+        assert store_digest(open_store(coordinator.store_root)) == oracle
 
     def test_worker_that_fails_to_spawn_fails_the_job(self, coordinator):
         coordinator._ctx = _FailingStartContext(coordinator._ctx, fail_from=2)

@@ -5,7 +5,7 @@ generators (determinism, sortedness, shape), batching-policy release
 semantics (hand-computed tiny traces against a fake cost model), the
 replay event loop (every metric checked against a worked example), and
 the ServingSpec execution layer (executor bit-identity, store
-memoisation across backends, kill→resume without re-simulation).
+memoisation, kill→resume without re-simulation).
 """
 
 import math
@@ -241,7 +241,7 @@ class TestBatchCostModel:
         assert costs[3].latency_s < 4 * costs[0].latency_s
 
     def test_warm_store_serves_every_shape(self, tmp_path):
-        store = open_store(tmp_path / "s", backend="sqlite")
+        store = open_store(tmp_path / "s")
         base = Scenario(scheme="mokey-oc")
         cold = BatchCostModel(base, cache=ResultCache(store=store))
         cold_costs = [cold.cost(size) for size in (1, 3)]
@@ -253,7 +253,7 @@ class TestBatchCostModel:
         assert warm_costs == cold_costs  # bit-identical through the store
 
     def test_write_through_false_collects_fresh_pairs(self, tmp_path):
-        store = open_store(tmp_path / "s", backend="jsonl")
+        store = open_store(tmp_path / "s")
         model = BatchCostModel(
             Scenario(scheme="mokey-oc"), cache=ResultCache(store=store), write_through=False
         )
@@ -282,7 +282,7 @@ def rows_of(spec, cache=None):
 class TestServingSpec:
     def test_round_trips_through_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
-        spec = TINY.with_execution(store=str(tmp_path / "s"), store_backend="sqlite")
+        spec = TINY.with_execution(store=str(tmp_path / "s"))
         spec.save(path)
         assert ServingSpec.load(path) == spec
 
@@ -311,9 +311,8 @@ class TestServingSpec:
         for executor in ("thread", "process"):
             assert rows_of(TINY.with_execution(executor=executor, store=None)) == baseline
 
-    @pytest.mark.parametrize("backend", ("jsonl", "sqlite"))
-    def test_warm_store_rerun_simulates_nothing(self, tmp_path, backend):
-        spec = TINY.with_execution(store=str(tmp_path / "s"), store_backend=backend)
+    def test_warm_store_rerun_simulates_nothing(self, tmp_path):
+        spec = TINY.with_execution(store=str(tmp_path / "s"))
         cold = run_serving(spec)
         assert cold.simulated > 0
         for record in cold.records:
@@ -329,23 +328,17 @@ class TestServingSpec:
             r.to_row() for r in warm.records
         ]
 
-    def test_backends_and_executors_agree_bitwise(self, tmp_path):
+    def test_store_backed_executors_agree_bitwise(self, tmp_path):
         results = {}
-        for backend in ("jsonl", "sqlite"):
-            for executor in ("serial", "process"):
-                spec = TINY.with_execution(
-                    store=str(tmp_path / f"{backend}-{executor}"),
-                    store_backend=backend,
-                    executor=executor,
-                )
-                results[(backend, executor)] = [
-                    record.metrics.to_dict() for record in run_serving(spec).records
-                ]
-        baseline = results[("jsonl", "serial")]
-        assert all(metrics == baseline for metrics in results.values())
+        for executor in ("serial", "process"):
+            spec = TINY.with_execution(store=str(tmp_path / executor), executor=executor)
+            results[executor] = [
+                record.metrics.to_dict() for record in run_serving(spec).records
+            ]
+        assert results["process"] == results["serial"]
 
     def test_killed_run_resumes_without_resimulating(self, tmp_path):
-        spec = TINY.with_execution(store=str(tmp_path / "s"), store_backend="sqlite")
+        spec = TINY.with_execution(store=str(tmp_path / "s"))
         events = iter_serving(spec)
         first_record, first_progress = next(events)
         events.close()  # "kill" after one of two combos

@@ -42,7 +42,6 @@ from repro.experiments import (
     scenario_key,
 )
 from repro.experiments.accuracy import AccuracySettings
-from repro.experiments.campaign import _reset_legacy_kwarg_warning
 from repro.experiments.measured import MeasurementSettings
 from repro.registry import DESIGNS, MODELS, SCHEMES, TASKS, RegistryError
 
@@ -153,7 +152,6 @@ _specs = st.builds(
         max_workers=st.one_of(st.none(), st.integers(1, 8)),
         chunksize=st.one_of(st.none(), st.integers(1, 8)),
         store=st.one_of(st.none(), st.just("./store-dir")),
-        store_backend=st.sampled_from((None, "jsonl", "sqlite")),
         resume=st.booleans(),
     ),
 )
@@ -362,45 +360,24 @@ class TestResume:
 
 
 # --------------------------------------------------------------------------- #
-# Back-compat
+# The batch wrapper
 # --------------------------------------------------------------------------- #
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_once_with_spec_snippet(self):
-        _reset_legacy_kwarg_warning()
-        scenarios = tiny_spec().scenarios()
-        with pytest.warns(DeprecationWarning) as captured:
-            run_campaign(scenarios, executor="serial", with_measured=False)
-        message = str(captured[0].message)
-        assert "CampaignSpec" in message
-        assert "ExecutionPolicy(executor='serial')" in message
-        assert "Enrichments(measured=False)" in message
-        # Second call: silent (once per process).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_campaign(scenarios, executor="serial")
-
+class TestRunCampaign:
     def test_spec_free_calls_do_not_warn(self):
-        _reset_legacy_kwarg_warning()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_campaign(tiny_spec().scenarios())
             run_campaign(tiny_spec().scenarios(), max_workers=2, cache=ResultCache())
 
-    def test_legacy_kwargs_behave_verbatim(self, tmp_path):
-        """The shim path and the spec path produce identical records/stores."""
-        _reset_legacy_kwarg_warning()
+    def test_matches_the_spec_path(self, tmp_path):
+        """run_campaign over a store and run_spec give identical records/stores."""
         spec = tiny_spec(store=str(tmp_path / "spec"))
         via_spec = run_spec(spec)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = run_campaign(
-                spec.scenarios(),
-                cache=ResultCache(store=ArtifactStore(tmp_path / "legacy")),
-                executor="serial",
-            )
-        assert [r.result for r in via_legacy] == [r.result for r in via_spec]
-        assert store_state(tmp_path / "legacy") == store_state(tmp_path / "spec")
+        via_wrapper = run_campaign(
+            spec.scenarios(), cache=ResultCache(store=ArtifactStore(tmp_path / "wrapper"))
+        )
+        assert [r.result for r in via_wrapper] == [r.result for r in via_spec]
+        assert store_state(tmp_path / "wrapper") == store_state(tmp_path / "spec")
 
 
 class TestSpecDerivation:

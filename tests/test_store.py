@@ -2,7 +2,7 @@
 
 Three property families the persistence layer must guarantee:
 
-1. **Round-trip identity** — ``Scenario → hash → JSONL → record`` is
+1. **Round-trip identity** — ``Scenario → hash → store → record`` is
    lossless: a result read back from disk (by a fresh store instance,
    as another process would) equals the simulated one bit-for-bit.
 2. **Cache-hit monotonicity** — across any sequence of campaigns sharing
@@ -14,6 +14,8 @@ Three property families the persistence layer must guarantee:
 
 import itertools
 import json
+import sqlite3
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,6 +23,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.accelerator.metrics import AreaBreakdown, EnergyBreakdown, SimulationResult
 from repro.experiments import (
     ArtifactStore,
+    AxisGrid,
+    CampaignSpec,
+    ExecutionPolicy,
     ResultCache,
     Scenario,
     ScenarioRecord,
@@ -28,6 +33,7 @@ from repro.experiments import (
     expand_grid,
     run_campaign,
     run_scenario,
+    run_spec,
     scenario_key,
 )
 from repro.experiments.store import SCHEMA_VERSION
@@ -137,28 +143,40 @@ class TestArtifactStore:
         assert ArtifactStore(root).get(scenario) == result
 
     def test_unreadable_lines_are_skipped_not_fatal(self, tmp_path):
+        # A directory holding a JSONL log is imported on open; lines this
+        # code cannot read are counted as skipped, never fatal.
         scenario = Scenario()
-        store = ArtifactStore(tmp_path)
-        store.put(scenario, run_scenario(scenario))
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write(json.dumps({"schema_version": SCHEMA_VERSION + 7, "key": "x"}) + "\n")
-            handle.write(json.dumps({"schema_version": SCHEMA_VERSION, "key": "y"}) + "\n")
+        good = {
+            "schema_version": SCHEMA_VERSION,
+            "key": scenario_key(scenario),
+            "scenario": scenario.to_dict(),
+            "result": run_scenario(scenario).to_dict(),
+        }
+        (tmp_path / "records.jsonl").write_text(
+            json.dumps(good) + "\n"
+            + "not json at all\n"
+            + json.dumps({"schema_version": SCHEMA_VERSION + 7, "key": "x"}) + "\n"
+            + json.dumps({"schema_version": SCHEMA_VERSION, "key": "y"}) + "\n",
+            encoding="utf-8",
+        )
         reopened = ArtifactStore(tmp_path)
         assert len(reopened) == 1
         assert reopened.skipped == 3
-        assert reopened.get(scenario) is not None
+        assert reopened.keys() == [scenario_key(scenario)]
+        assert reopened.get(scenario) == run_scenario(scenario)
+        # The newer-schema line is kept as a row of its own version.
+        assert ArtifactStore(tmp_path).skipped == 1
 
     def test_records_with_extra_fields_still_load(self, tmp_path):
         scenario = Scenario()
-        store = ArtifactStore(tmp_path)
-        store.put(scenario, run_scenario(scenario))
-        raw = store.path.read_text(encoding="utf-8").strip()
-        record = json.loads(raw)
-        record["scenario"]["future_axis"] = 42
-        record["result"]["future_metric"] = 1.5
-        store.path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        assert ArtifactStore(tmp_path).get(scenario) is not None
+        record = {
+            "schema_version": SCHEMA_VERSION,
+            "key": scenario_key(scenario),
+            "scenario": dict(scenario.to_dict(), future_axis=42),
+            "result": dict(run_scenario(scenario).to_dict(), future_metric=1.5),
+        }
+        (tmp_path / "records.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert ArtifactStore(tmp_path).get(scenario) == run_scenario(scenario)
 
     def test_clear_removes_everything(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -166,32 +184,44 @@ class TestArtifactStore:
         store.put(scenario, run_scenario(scenario))
         assert store.clear() == 1
         assert len(store) == 0
-        assert not store.path.exists()
+        assert store.keys() == []
         assert store.get(scenario) is None
+        assert len(ArtifactStore(tmp_path)) == 0
 
     def test_clear_then_external_writes_report_fresh_state(self, tmp_path):
-        """Bug lock: clear() must invalidate the index, not pin an empty one.
+        """Bug lock: clear() must not pin pre-clear state in this instance.
 
-        Historically clear() left an empty in-memory index behind, so
-        records appended to the file afterwards (by another process) and
-        their skipped count stayed invisible to this instance forever.
+        Records written after the clear by another instance (≈ another
+        process), and their skipped count, must be visible here — and
+        corrupt rows this instance discovered before the clear must not
+        keep counting.
         """
         store = ArtifactStore(tmp_path)
         scenario = Scenario()
         store.put(scenario, run_scenario(scenario))
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write("corrupt line\n")
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute(
+                "INSERT INTO records (key, schema_version, scenario, result) "
+                "VALUES ('corrupt', ?, 'not json', 'not json')",
+                (SCHEMA_VERSION,),
+            )
+        assert len(list(store.records())) == 1  # discovers the corrupt row
+        assert store.skipped == 1
         store.clear()
-        # Another process writes a record (and a bad line) after the clear.
+        # Another process writes a record (and an old-schema row) after the clear.
         ArtifactStore(tmp_path).put(scenario, run_scenario(scenario))
-        with store.path.open("a", encoding="utf-8") as handle:
-            handle.write("another corrupt line\n")
+        with sqlite3.connect(str(store.path)) as conn:
+            conn.execute(
+                "INSERT INTO records (key, schema_version, scenario, result) "
+                "VALUES ('stale', ?, '{}', '{}')",
+                (SCHEMA_VERSION + 1,),
+            )
         assert len(store) == 1
         assert store.skipped == 1
         assert store.get(scenario) is not None
 
     def test_records_streams_lazily(self, tmp_path):
-        """records() must be a generator over the index, not a full copy."""
+        """records() must be a lazy generator, not a full copy."""
         import types
 
         store = ArtifactStore(tmp_path)
@@ -203,7 +233,7 @@ class TestArtifactStore:
         first = next(stream)
         assert first.scenario == scenarios[0]
         # Interleaved writes while a consumer holds the generator are safe
-        # (the key snapshot was taken up front; later puts don't appear).
+        # (records put after the scan started don't appear).
         late = Scenario(buffer_bytes=9 * 64 * KB)
         store.put(late, run_scenario(late))
         rest = [entry.scenario for entry in stream]
@@ -280,14 +310,29 @@ def fig10_grid():
     )
 
 
+def fig10_spec(executor, **execution):
+    """fig10_grid() as a campaign spec on the given executor."""
+    return CampaignSpec(
+        axes=AxisGrid(
+            workloads=tuple((m, t, s) for (m, t, s, _head) in PAPER_MODELS),
+            designs=("tensor-cores", "mokey"),
+            buffer_bytes=(256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB),
+        ),
+        execution=ExecutionPolicy(executor=executor, **execution),
+    )
+
+
 class TestExecutorEquivalence:
     @pytest.fixture(scope="class")
     def serial_records(self):
-        return list(run_campaign(fig10_grid(), executor="serial"))
+        return list(run_spec(fig10_spec("serial")))
+
+    def test_spec_expands_to_the_fig10_grid(self):
+        assert fig10_spec("serial").scenarios() == fig10_grid()
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_matches_serial_bit_for_bit(self, serial_records, executor):
-        parallel = list(run_campaign(fig10_grid(), executor=executor, max_workers=4))
+        parallel = list(run_spec(fig10_spec(executor, max_workers=4)))
         assert len(parallel) == len(serial_records) == 80
         for expected, measured in zip(serial_records, parallel):
             assert measured.scenario == expected.scenario  # same deterministic order
@@ -297,12 +342,19 @@ class TestExecutorEquivalence:
             )
 
     def test_process_executor_chunked_dispatch(self):
-        grid = fig10_grid()[:10]
-        chunked = run_campaign(grid, executor="process", max_workers=2, chunksize=3)
-        serial = run_campaign(grid, executor="serial")
+        # The first fig10 workload: fig10_grid()[:10].
+        axes = replace(fig10_spec("serial").axes, workloads=(PAPER_MODELS[0][:3],))
+        chunked = run_spec(
+            CampaignSpec(
+                axes=axes,
+                execution=ExecutionPolicy(executor="process", max_workers=2, chunksize=3),
+            )
+        )
+        serial = run_spec(CampaignSpec(axes=axes, execution=ExecutionPolicy(executor="serial")))
+        assert [r.scenario for r in serial] == fig10_grid()[:10]
         for a, b in zip(chunked, serial):
             assert a.result == b.result
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError):
-            run_campaign([Scenario()], executor="rayon")
+            run_spec(CampaignSpec(execution=ExecutionPolicy(executor="rayon")))
