@@ -472,12 +472,14 @@ class IndexDomainEngine:
     ) -> None:
         fit_a = activation_dictionary.golden.fit
         fit_w = weight_dictionary.golden.fit
-        if not np.isclose(fit_a.a, fit_w.a) or not np.isclose(fit_a.b, fit_w.b):
+        if fit_a is not fit_w and (
+            not np.isclose(fit_a.a, fit_w.a) or not np.isclose(fit_a.b, fit_w.b)
+        ):
             raise ValueError(
                 "activation and weight dictionaries must share the same Golden Dictionary"
             )
         for dictionary in (activation_dictionary, weight_dictionary):
-            if not np.array_equal(dictionary.gaussian_half, dictionary.golden.fit.magnitudes()):
+            if not dictionary.has_exponential_centroids:
                 raise ValueError(
                     f"tensor {dictionary.name!r}: index-domain compute needs the exponential "
                     "Gaussian centroids a**i + b (quantize with use_exponential=True)"
@@ -1090,7 +1092,7 @@ def index_domain_matmul_many(
     ]
     base = engines[0]
     for other in engines[1:]:
-        if (
+        if other._fit_key != base._fit_key and (
             not np.isclose(other.a, base.a)
             or not np.isclose(other.b, base.b)
             or other.num_entries != base.num_entries

@@ -9,10 +9,8 @@ to decode themselves and how many bits they occupy in memory.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -128,6 +126,10 @@ class QuantizedTensor:
 class MokeyQuantizer:
     """Quantize tensors to 4-bit dictionary indexes (paper Section II).
 
+    Every fit is fresh (warm weights come from the executor's weight
+    cache) and counts in :attr:`fit_memo_misses`; :attr:`fit_memo_hits`
+    stays 0, kept as a counter name only.
+
     Args:
         golden: A pre-generated Golden Dictionary; one is generated with the
             default parameters if omitted.
@@ -143,71 +145,20 @@ class MokeyQuantizer:
         use_exponential: bool = True,
         fixed_point_bits: int = 16,
         max_outlier_entries: int = 16,
-        fit_memo: bool = True,
-        fit_memo_entries: int = 256,
     ) -> None:
         self.golden = golden or generate_golden_dictionary()
         self.use_exponential = use_exponential
         self.fixed_point_bits = fixed_point_bits
         self.max_outlier_entries = max_outlier_entries
-        self.fit_memo = bool(fit_memo)
-        self.fit_memo_entries = int(fit_memo_entries)
         self.fit_memo_hits = 0
         self.fit_memo_misses = 0
-        self._fit_memo: "OrderedDict[str, TensorDictionary]" = OrderedDict()
-        self._fit_memo_lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The lock (unpicklable) and memo (a cache, not state) stay behind.
-        state = dict(self.__dict__)
-        state.pop("_fit_memo_lock", None)
-        state["_fit_memo"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._fit_memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Dictionary fitting
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fit_digest(values: np.ndarray) -> str:
-        # No shape: the fit only sees the flattened value distribution.
-        data = np.ascontiguousarray(values, dtype=np.float64)
-        return hashlib.sha1(data.tobytes()).hexdigest()
-
     def fit_dictionary(self, name: str, values: np.ndarray) -> TensorDictionary:
-        """Fit per-tensor dictionaries from the full tensor (weights path).
-
-        Fits are memoised by a content digest of the float64 value bytes
-        (LRU, :attr:`fit_memo_entries` deep): refitting an identical
-        tensor — warm forwards, repeated prefills — returns the previous
-        fit, renamed if the caller's name differs.  Exact-bytes keying
-        means a hit is the *same* fit the cold path would compute.
-        """
-        values = np.asarray(values)
-        if not self.fit_memo:
-            return self._fit_fresh(name, values)
-        digest = self._fit_digest(values)
-        with self._fit_memo_lock:
-            memoised = self._fit_memo.get(digest)
-            if memoised is not None:
-                self._fit_memo.move_to_end(digest)
-                self.fit_memo_hits += 1
-        if memoised is not None:
-            if memoised.name != name:
-                memoised = replace(memoised, name=name)
-            return memoised
-        fitted = self._fit_fresh(name, values)
-        with self._fit_memo_lock:
-            self.fit_memo_misses += 1
-            self._fit_memo[digest] = fitted
-            while len(self._fit_memo) > self.fit_memo_entries:
-                self._fit_memo.popitem(last=False)
-        return fitted
-
-    def _fit_fresh(self, name: str, values: np.ndarray) -> TensorDictionary:
+        """Fit per-tensor dictionaries from the full tensor (weights path)."""
+        self.fit_memo_misses += 1
         return TensorDictionary.fit(
             name=name,
             golden=self.golden,

@@ -14,7 +14,8 @@ for activations they come from the profiling run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,6 +25,16 @@ from repro.core.fixed_point import FixedPointFormat
 from repro.core.golden_dictionary import GoldenDictionary
 
 __all__ = ["TensorDictionary", "EncodedValues"]
+
+#: Values per block of :meth:`TensorDictionary.encode`, small enough that a
+#: block's temporaries stay cache-resident across the midpoint comparisons.
+ENCODE_BLOCK = 1 << 16
+
+
+def _require_finite(name: str, values: np.ndarray, what: str) -> None:
+    """Refuse NaN and inf, which would otherwise encode or fit silently wrong."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"tensor {name!r}: {what} include non-finite values (NaN or inf)")
 
 
 @dataclass
@@ -140,15 +151,18 @@ class TensorDictionary:
             values = np.asarray(values, dtype=np.float64).ravel()
             if values.size == 0:
                 raise ValueError(f"tensor {name!r} is empty")
-            mean = float(values.mean())
-            std = float(values.std())
             minimum = float(values.min())
             maximum = float(values.max())
+            if not np.isfinite([minimum, maximum]).all():  # min/max propagate NaN
+                _require_finite(name, values, "values")
+            mean = float(values.mean())
+            std = float(values.std())
         else:
             if mean is None or std is None or minimum is None or maximum is None:
                 raise ValueError(
                     "either values or (mean, std, minimum, maximum) must be provided"
                 )
+            _require_finite(name, np.array([mean, std, minimum, maximum]), "statistics")
 
         std = max(float(std), 1e-12)
         fixed_point = FixedPointFormat.for_range(minimum, maximum, total_bits=fixed_point_bits)
@@ -160,6 +174,7 @@ class TensorDictionary:
             sample_pool = values
         elif outlier_samples is not None:
             sample_pool = np.asarray(outlier_samples, dtype=np.float64).ravel()
+            _require_finite(name, sample_pool, "outlier samples")
         else:
             sample_pool = np.empty(0)
         outlier_centroids = cls._fit_outlier_centroids(
@@ -206,6 +221,12 @@ class TensorDictionary:
     def has_outliers(self) -> bool:
         return self.outlier_centroids.size > 0
 
+    @cached_property
+    def has_exponential_centroids(self) -> bool:
+        """Whether the Gaussian half is exactly the golden fit's ``a**i + b``
+        (what index-domain compute needs); checked once per dictionary."""
+        return bool(np.array_equal(self.gaussian_half, self.golden.fit.magnitudes()))
+
     def gaussian_centroids(self) -> np.ndarray:
         """All signed Gaussian centroid values in tensor units, ascending."""
         half = self.gaussian_half * self.std
@@ -233,30 +254,46 @@ class TensorDictionary:
     # Encode / decode
     # ------------------------------------------------------------------ #
     def encode(self, values: np.ndarray) -> EncodedValues:
-        """Encode a tensor into sign/index/outlier form."""
+        """Encode a tensor into sign/index/outlier form; NaN or inf raise.
+
+        One pass over blocks of :data:`ENCODE_BLOCK` values.  Each index
+        counts the table midpoints its value exceeds: exactly the left-side
+        ``np.searchsorted(midpoints, x)`` on finite input.
+        """
         values = np.asarray(values, dtype=np.float64)
-        centred = values - self.mean
-        is_outlier = np.abs(centred) > self.threshold
-        if not self.has_outliers:
-            is_outlier = np.zeros_like(is_outlier)
-
-        sign = np.where(centred >= 0, 1, -1).astype(np.int8)
-        normalised = np.abs(centred) / self.std
-        # Nearest Gaussian half magnitude via midpoint search.
+        flat = values.reshape(-1)
+        is_outlier = np.zeros(flat.size, dtype=bool)
+        sign = np.empty(flat.size, dtype=np.int8)
+        gaussian_index = np.zeros(flat.size, dtype=np.int8)
+        outlier_index = np.zeros(flat.size, dtype=np.int8)
         midpoints = (self.gaussian_half[:-1] + self.gaussian_half[1:]) / 2.0
-        gaussian_index = np.searchsorted(midpoints, normalised).astype(np.int8)
-
-        if self.has_outliers:
-            ot_midpoints = (self.outlier_centroids[:-1] + self.outlier_centroids[1:]) / 2.0
-            outlier_index = np.searchsorted(ot_midpoints, values).astype(np.int8)
-        else:
-            outlier_index = np.zeros(values.shape, dtype=np.int8)
-
+        ot_midpoints = (self.outlier_centroids[:-1] + self.outlier_centroids[1:]) / 2.0
+        scratch = np.empty(min(flat.size, ENCODE_BLOCK), dtype=bool)
+        for start in range(0, flat.size, ENCODE_BLOCK):
+            block = slice(start, start + ENCODE_BLOCK)
+            x = flat[block]
+            _require_finite(self.name, x, "values")
+            above = scratch[: x.size]
+            centred = x - self.mean
+            # sign = -1 where centred < 0, else 0 | 1 = +1.
+            np.less(centred, 0, out=above)
+            np.negative(above.view(np.int8), out=sign[block])
+            sign[block] |= 1
+            magnitude = np.abs(centred, out=centred)
+            if self.has_outliers:
+                np.greater(magnitude, self.threshold, out=is_outlier[block])
+            normalised = np.divide(magnitude, self.std, out=magnitude)
+            for table, target, index in (
+                (midpoints, normalised, gaussian_index[block]),
+                (ot_midpoints, x, outlier_index[block]),
+            ):
+                for mid in table:
+                    index += np.greater(target, mid, out=above).view(np.int8)
         return EncodedValues(
-            is_outlier=is_outlier,
-            sign=sign,
-            gaussian_index=gaussian_index,
-            outlier_index=outlier_index,
+            is_outlier=is_outlier.reshape(values.shape),
+            sign=sign.reshape(values.shape),
+            gaussian_index=gaussian_index.reshape(values.shape),
+            outlier_index=outlier_index.reshape(values.shape),
         )
 
     def decode(self, encoded: EncodedValues, apply_fixed_point: bool = True) -> np.ndarray:

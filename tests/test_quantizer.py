@@ -99,59 +99,56 @@ class TestConfiguration:
 
 
 class TestFitMemoAndDigest:
-    """The fit memo (ISSUE 9) and the content digest the plane cache keys on."""
+    """Fit counting (the fit memo is gone; ``fit_memo_hits``/``misses`` stay
+    as plain counters), the content digest, and the engines' once-per-
+    dictionary exponential-centroid check."""
 
-    def test_identical_values_hit_the_memo_with_identical_fit(self, golden, rng):
+    def test_every_fit_counts_a_miss(self, golden, rng):
         q = MokeyQuantizer(golden)
         values = rng.normal(0, 0.5, 512)
-        first = q.fit_dictionary("w", values)
-        second = q.fit_dictionary("w", values)
-        assert second is first  # the exact same fit object, not a refit
-        assert (q.fit_memo_hits, q.fit_memo_misses) == (1, 1)
-
-    def test_memo_hit_renames_without_refitting(self, golden, rng):
-        q = MokeyQuantizer(golden)
-        values = rng.normal(0, 0.5, 256)
-        first = q.fit_dictionary("first", values)
-        renamed = q.fit_dictionary("second", values)
-        assert renamed.name == "second"
-        assert renamed.mean == first.mean and renamed.std == first.std
-        assert np.array_equal(renamed.gaussian_half, first.gaussian_half)
-        assert q.fit_memo_hits == 1
-
-    def test_memoised_fit_equals_fresh_fit_bitwise(self, golden, rng):
-        values = rng.normal(0, 0.5, 512)
-        memo_q = MokeyQuantizer(golden)
-        fresh_q = MokeyQuantizer(golden, fit_memo=False)
-        memo_q.fit_dictionary("w", values)  # prime
-        via_memo = memo_q.quantize(values, "w")
-        fresh = fresh_q.quantize(values, "w")
-        assert fresh_q.fit_memo_hits == 0
+        first = q.quantize(values, "w")
+        second = q.quantize(values, "w")
+        q.quantize(values, "w", dictionary=first.dictionary)  # no fit, no count
+        assert (q.fit_memo_hits, q.fit_memo_misses) == (0, 2)
+        assert second.dictionary is not first.dictionary  # a refit, not a lookup
         for field in ("is_outlier", "sign", "gaussian_index", "outlier_index"):
-            assert np.array_equal(
-                getattr(via_memo.encoded, field), getattr(fresh.encoded, field)
-            )
-        assert via_memo.content_digest() == fresh.content_digest()
+            assert np.array_equal(getattr(first.encoded, field), getattr(second.encoded, field))
+        assert first.content_digest() == second.content_digest()
 
-    def test_memo_is_lru_bounded(self, golden, rng):
-        q = MokeyQuantizer(golden, fit_memo_entries=2)
-        tensors = [rng.normal(0, 0.5, 128) for _ in range(3)]
-        for values in tensors:
-            q.fit_dictionary("w", values)
-        assert len(q._fit_memo) == 2
-        q.fit_dictionary("w", tensors[0])  # evicted: must refit
-        assert q.fit_memo_misses == 4 and q.fit_memo_hits == 0
-
-    def test_quantizer_pickles_without_the_memo(self, golden, rng):
+    def test_quantizer_pickles(self, golden, rng):
         import pickle
 
         q = MokeyQuantizer(golden)
         values = rng.normal(0, 0.5, 128)
-        q.fit_dictionary("w", values)
+        original = q.quantize(values, "w")
         clone = pickle.loads(pickle.dumps(q))
-        assert len(clone._fit_memo) == 0
-        # And the clone still works (lock was recreated).
-        clone.fit_dictionary("w", values)
+        assert clone.fit_memo_misses == 1
+        assert clone.quantize(values, "w").content_digest() == original.content_digest()
+
+    def test_engines_check_each_dictionary_once(self, quantizer, rng, monkeypatch):
+        from repro.core.exponential_fit import ExponentialFit
+        from repro.core.index_compute import VectorizedIndexDomainEngine
+
+        aq = quantizer.quantize(rng.normal(0, 1, (4, 8)), "a")
+        wq = quantizer.quantize(rng.normal(0, 0.02, (8, 3)), "w")
+        calls = []
+        real = ExponentialFit.magnitudes
+        monkeypatch.setattr(
+            ExponentialFit, "magnitudes", lambda fit: calls.append(fit) or real(fit)
+        )
+        for _ in range(20):
+            VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary)
+        assert len(calls) <= 2  # at most once per dictionary
+
+    def test_non_exponential_dictionary_still_refused(self, golden, rng):
+        from repro.core.index_compute import VectorizedIndexDomainEngine
+
+        exact = MokeyQuantizer(golden).quantize(rng.normal(0, 1, (2, 8)), "a")
+        plain = MokeyQuantizer(golden, use_exponential=False)
+        wq = plain.quantize(rng.normal(0, 0.02, (8, 3)), "w")
+        for _ in range(2):  # the cached verdict refuses again
+            with pytest.raises(ValueError, match="use_exponential=True"):
+                VectorizedIndexDomainEngine(exact.dictionary, wq.dictionary)
 
     def test_content_digest_distinguishes_values_and_shape(self, quantizer, rng):
         values = rng.normal(0, 0.5, (8, 8))
