@@ -12,9 +12,10 @@ is visible PR-over-PR:
   engine on a layer-scale GEMM, cold GEMM against cold GEMM, with the
   speedup **asserted** against a conservative floor so vectorization can
   never silently regress back to the Python loop (>=100x at the full
-  128x768 @ 768x768 shape, >=20x on the tiny CI grid), and the plane
-  cache's bytes per cached weight parameter **asserted** <= 8.5 (one
-  float64 decoded centroid plus its per-``k`` Gaussian count);
+  128x768 @ 768x768 shape, >=20x on the tiny CI grid), and the bytes
+  per weight parameter of the decoded operand memoised on the weight
+  **asserted** <= 8.5 (one float64 decoded centroid plus its per-``k``
+  Gaussian count);
 * ``encoder_layer`` — an end-to-end index-domain encoder-layer forward
   at realistic shape (BERT-Base, seq 128), which the scalar engine could
   only finish in hours;
@@ -30,9 +31,10 @@ is visible PR-over-PR:
   in lockstep through ``replay_decode_streams``, their independent
   GEMMs batched across streams.
 
-Cold-vs-warm pairs (encoder layer, full model) measure the plane cache
-directly: the warm leg reruns the identical workload so every content
-digest hits.  Tiny mode
+Cold-vs-warm pairs (encoder layer, full model) measure the weight cache
+directly: the warm leg reruns the identical workload through the same
+executor, so every weight's encoding and the decoded operand memoised on
+it are reused.  Tiny mode
 (``REPRO_BENCH_TINY=1``) shrinks the shapes; the assertions stay.
 """
 
@@ -47,14 +49,15 @@ from tests.test_tensor_dictionary import searchsorted_encode
 
 from repro.core.index_compute import (
     IndexDomainEngine,
-    PlaneCache,
     VectorizedIndexDomainEngine,
-    get_plane_cache,
     use_plane_cache,
 )
 from repro.serving import replay_decode_streams
 from repro.transformer.config import TransformerConfig
-from repro.transformer.index_execution import execute_encoder_layer
+from repro.transformer.index_execution import (
+    IndexDomainEncoderExecutor,
+    execute_encoder_layer,
+)
 from repro.transformer.index_model import (
     GPT_DECODER_CONFIG,
     IndexDomainModelExecutor,
@@ -74,8 +77,8 @@ else:
     GEMM_M, GEMM_K, GEMM_N = 128, 768, 768
     SPEEDUP_FLOOR = 100.0
     ENCODE_SPEEDUP_FLOOR = 4.0
-# A cached weight holds its float64 decoded centroids (8 B/parameter)
-# plus one int64 Gaussian count per row of K.
+# A weight's memoised decoded operand holds its float64 decoded centroids
+# (8 B/parameter) plus one int64 Gaussian count per row of K.
 CACHE_BYTES_PER_WEIGHT_FLOOR = 8.5
 
 
@@ -146,7 +149,8 @@ def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
 
     Both sides are timed best-of-3 with no plane cache, so the ratio
     compares a cold GEMM with a cold GEMM.  A separate cached GEMM then
-    measures the plane cache's footprint per weight parameter.
+    measures the footprint of the decoded operand it memoises on the
+    weight, per weight parameter.
     """
     aq, wq = _gemm_operands(mokey_quantizer, GEMM_M, GEMM_K, GEMM_N)
     scalar_engine = IndexDomainEngine(aq.dictionary, wq.dictionary)
@@ -157,10 +161,8 @@ def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
     scalar_values, scalar_stats = scalar_runs[-1]
     with use_plane_cache(None):
         vector_seconds = _best_of(lambda: vector_engine.matmul(aq, wq))
-    cache = PlaneCache(max_bytes=1 << 40)
-    with use_plane_cache(cache):
-        result = vector_engine.matmul(aq, wq)
-    bytes_per_weight = cache.bytes_cached / (GEMM_K * GEMM_N)
+    result = vector_engine.matmul(aq, wq)  # caching on: memoises the planes
+    bytes_per_weight = wq._plane_sets["rhs"].nbytes / (GEMM_K * GEMM_N)
 
     speedup = scalar_seconds / vector_seconds
     macs = GEMM_M * GEMM_K * GEMM_N
@@ -168,7 +170,7 @@ def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
         f"\nindex matmul {GEMM_M}x{GEMM_K} @ {GEMM_K}x{GEMM_N}: "
         f"scalar {scalar_seconds:.2f}s, vectorized {vector_seconds * 1e3:.1f} ms "
         f"({speedup:.0f}x, {macs / vector_seconds / 1e9:.2f} Gpairs/s vectorized), "
-        f"plane cache {bytes_per_weight:.2f} B/weight parameter "
+        f"decoded weight {bytes_per_weight:.2f} B/weight parameter "
         f"(floor {CACHE_BYTES_PER_WEIGHT_FLOOR})"
     )
     record_perf(
@@ -188,9 +190,9 @@ def test_perf_index_matmul_scalar_vs_vectorized(mokey_quantizer):
     assert np.allclose(scalar_values, result.values, rtol=1e-9, atol=1e-8)
     assert result.stats == scalar_stats
     assert bytes_per_weight <= CACHE_BYTES_PER_WEIGHT_FLOOR, (
-        f"plane cache holds {bytes_per_weight:.2f} B per weight parameter "
-        f"(floor {CACHE_BYTES_PER_WEIGHT_FLOOR}) — did it start caching more "
-        f"than the decoded operand?"
+        f"a decoded weight holds {bytes_per_weight:.2f} B per weight parameter "
+        f"(floor {CACHE_BYTES_PER_WEIGHT_FLOOR}) — did the memo start keeping "
+        f"more than the decoded operand?"
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"vectorized engine only {speedup:.1f}x over scalar "
@@ -213,13 +215,15 @@ def test_perf_encoder_layer_index_domain(mokey_quantizer):
     else:
         model = "bert-base"
         sequence_length = 128
+    executor = IndexDomainEncoderExecutor(quantizer=mokey_quantizer, cache_weights=True)
     measurement = execute_encoder_layer(
-        model, sequence_length=sequence_length, quantizer=mokey_quantizer
+        model, sequence_length=sequence_length, executor=executor
     )
-    # Warm forward: identical inputs, so every plane digest hits — this is
-    # the "warm model forward" the plane cache exists for.
+    # Warm forward through the same executor: identical weights, so every
+    # weight GEMM reuses the cached encoding and its memoised decoded
+    # operand — the "warm model forward" the weight cache exists for.
     warm = execute_encoder_layer(
-        model, sequence_length=sequence_length, quantizer=mokey_quantizer
+        model, sequence_length=sequence_length, executor=executor
     )
     pairs = measurement.stats.total_pairs
     warm_cache = warm.plane_cache.to_dict() if warm.plane_cache else {}
@@ -244,6 +248,7 @@ def test_perf_encoder_layer_index_domain(mokey_quantizer):
             "warm_total_seconds": warm.total_seconds,
             "warm_quantize_seconds": warm.quantize_seconds,
             "warm_plane_cache": warm_cache,
+            "warm_weight_cache_hits": executor.weight_cache_hits,
             "pairs": pairs,
             "pairs_per_second": pairs / max(measurement.engine_seconds, 1e-9),
             "outlier_pair_fraction": measurement.outlier_pair_fraction,
@@ -256,8 +261,10 @@ def test_perf_encoder_layer_index_domain(mokey_quantizer):
     assert measurement.output_rms_error < 0.5
     assert 0.0 < measurement.outlier_pair_fraction < 0.2
     # Caching is a pure execution strategy: the warm forward replays the
-    # identical arithmetic (bit-identical op counts).
+    # identical arithmetic (bit-identical op counts), and every one of its
+    # six weight GEMMs hits the weight cache.
     assert warm.stats == measurement.stats
+    assert executor.weight_cache_hits == 6
 
 
 # Full-model shapes: all of BERT-Base in full mode, a two-layer nano
@@ -305,9 +312,8 @@ else:
 def test_perf_full_model_index_domain(mokey_quantizer):
     """End-to-end encoder stack: per-GEMM baseline vs batched+cached."""
     # The baseline must measure the truly uncached cost: no weight cache
-    # and the module-global plane cache disabled — otherwise the session
-    # fixture's caches would speed up the "per-GEMM" leg and understate
-    # the real speedup.
+    # and no decoded-operand memo — otherwise reused operands would speed
+    # up the "per-GEMM" leg and understate the real speedup.
     with use_plane_cache(None):
         baseline = execute_model(
             MODEL_SPEC,
@@ -382,14 +388,10 @@ def test_perf_decoder_kv_cache(mokey_quantizer):
     the plane rebuild cost the incremental cache removes — and its
     outputs/stats double as the bit-identity oracle.
 
-    Earlier bench tests leave gigabytes of encoder planes resident in
-    the process-wide cache; releasing them first keeps this a
-    reproducible cold-cache measurement instead of one coloured by
-    suite order and allocator pressure.
+    Collecting what earlier bench tests left behind first keeps this a
+    reproducible cold measurement instead of one coloured by suite order
+    and allocator pressure.
     """
-    resident = get_plane_cache()
-    if resident is not None:
-        resident.clear()
     gc.collect()
     measurement = execute_decoder(
         DECODER_SPEC,

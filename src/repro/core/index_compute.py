@@ -55,9 +55,8 @@ property-test-locked guarantee).
 
 from __future__ import annotations
 
-import os
 import threading
-from collections import OrderedDict
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -75,7 +74,6 @@ __all__ = [
     "PlaneCache",
     "PlaneCacheStats",
     "get_plane_cache",
-    "set_plane_cache",
     "use_plane_cache",
     "IndexDomainEngine",
     "VectorizedIndexDomainEngine",
@@ -189,30 +187,30 @@ class IndexMatmulResult:
 
 
 # --------------------------------------------------------------------------- #
-# The cross-call plane cache
+# Decoded operands and their counters
 # --------------------------------------------------------------------------- #
 
 @dataclass
 class PlaneCacheStats:
-    """Counters of the plane cache, a sibling of :class:`IndexComputeStats`.
+    """Counters of decoded-operand reuse, a sibling of :class:`IndexComputeStats`.
 
     Attributes:
-        hits: Digest-cache lookups that found the decoded operand built.
-        misses: Digest-cache lookups that had to decode the operand.
-        attached_hits: Plane sets served from the operand tensor itself
-            (the KV cache's incrementally grown slabs attach these).
-        evictions: Entries dropped by the LRU byte budget.
+        hits: Decoded operands reused instead of decoded: memoised on the
+            tensor by an earlier GEMM, or attached by a KV slab.
+        misses: Operands decoded while caching was on (each is then
+            memoised on its tensor).
+        evictions: Always 0: a memoised operand is freed with its tensor,
+            never evicted.  Kept because ``perfbench`` reports it.
         device_uploads: Decoded operands uploaded by a device backend
             (the torch engine's one-time residency cost).
         device_reuses: Device-resident decoded operands reused without a
             conversion or transfer.
-        entries: Entries currently resident in the digest cache.
-        bytes_cached: Bytes currently held by the digest cache.
+        entries: Memoised plane sets currently alive.
+        bytes_cached: Host bytes of the memoised plane sets currently alive.
     """
 
     hits: int = 0
     misses: int = 0
-    attached_hits: int = 0
     evictions: int = 0
     device_uploads: int = 0
     device_reuses: int = 0
@@ -222,9 +220,8 @@ class PlaneCacheStats:
     @property
     def hit_rate(self) -> float:
         """Fraction of operand requests served without decoding again."""
-        served = self.hits + self.attached_hits
-        total = served + self.misses
-        return served / total if total else 0.0
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def minus(self, other: "PlaneCacheStats") -> "PlaneCacheStats":
         """The delta of the monotonic counters since ``other`` was taken.
@@ -235,7 +232,6 @@ class PlaneCacheStats:
         return PlaneCacheStats(
             hits=self.hits - other.hits,
             misses=self.misses - other.misses,
-            attached_hits=self.attached_hits - other.attached_hits,
             evictions=self.evictions - other.evictions,
             device_uploads=self.device_uploads - other.device_uploads,
             device_reuses=self.device_reuses - other.device_reuses,
@@ -263,7 +259,10 @@ class PlaneSet:
     an uploaded copy of :attr:`dec` (keyed by device).
     """
 
-    __slots__ = ("role", "fit_key", "plane_shape", "dec", "out", "gauss_per_k", "device_tensors")
+    __slots__ = (
+        "role", "fit_key", "plane_shape", "dec", "out", "gauss_per_k", "device_tensors",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -299,83 +298,45 @@ class PlaneSet:
         return total
 
 
-#: Default LRU budget of the process-wide plane cache, in megabytes.
-#: Override with the ``REPRO_PLANE_CACHE_MB`` environment variable.
-DEFAULT_PLANE_CACHE_MB = 4096.0
-
-
 class PlaneCache:
-    """Cross-call LRU cache of weight-side :class:`PlaneSet` artifacts.
+    """The counters of the decoded operands memoised on their tensors.
 
-    Keys are the operand's content digest (plus role), so an entry can
-    never serve a stale operand: a tensor with different encoded values or
-    a different dictionary has a different digest *by construction* —
-    there is no invalidation protocol to get wrong.  The byte budget
-    covers each entry's host arrays (:attr:`PlaneSet.nbytes`);
-    least-recently-used entries are dropped when the budget is exceeded,
-    and any device-resident copies go with them.
-
-    Thread-safe; counters are exposed as :class:`PlaneCacheStats`.
+    It holds no operand: the engine memoises each decoded
+    :class:`PlaneSet` on the :class:`QuantizedTensor` it came from (see
+    :meth:`VectorizedIndexDomainEngine._plane_set`), so the set lives
+    exactly as long as the tensor.  :meth:`track` adds the set's bytes to
+    the ``bytes_cached`` gauge until a finalizer takes them off again
+    when the set is freed.  Thread-safe; :meth:`stats` takes a snapshot.
     """
 
-    def __init__(self, max_bytes: Optional[int] = None) -> None:
-        if max_bytes is None:
-            megabytes = float(
-                os.environ.get("REPRO_PLANE_CACHE_MB", DEFAULT_PLANE_CACHE_MB)
-            )
-            max_bytes = int(megabytes * 1024 * 1024)
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes!r}")
-        self.max_bytes = int(max_bytes)
-        self._entries: "OrderedDict[Tuple[str, str], PlaneSet]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        # Re-entrant: a finalizer may run on this thread inside a locked
+        # section, when the garbage collector frees a tensor there.
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
-        self.attached_hits = 0
-        self.evictions = 0
         self.device_uploads = 0
         self.device_reuses = 0
+        self._entries = 0
+        self._bytes = 0
 
-    def __len__(self) -> int:
+    def track(self, plane_set: PlaneSet) -> None:
+        """Count a decoded, memoised ``plane_set``: a miss, and its bytes while alive."""
+        nbytes = plane_set.nbytes
         with self._lock:
-            return len(self._entries)
+            self.misses += 1
+            self._entries += 1
+            self._bytes += nbytes
+        weakref.finalize(plane_set, self._release, nbytes).atexit = False
 
-    @property
-    def bytes_cached(self) -> int:
+    def _release(self, nbytes: int) -> None:
         with self._lock:
-            return self._bytes
+            self._entries -= 1
+            self._bytes -= nbytes
 
-    def get(self, key: Tuple[str, str]) -> Optional[PlaneSet]:
-        """The cached plane set for ``key``, counting the hit or miss."""
+    def note_hit(self) -> None:
         with self._lock:
-            plane_set = self._entries.get(key)
-            if plane_set is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
             self.hits += 1
-            return plane_set
-
-    def put(self, key: Tuple[str, str], plane_set: PlaneSet) -> None:
-        """Insert ``plane_set`` under ``key``, evicting LRU entries over budget."""
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous.nbytes
-            self._entries[key] = plane_set
-            self._bytes += plane_set.nbytes
-            # Evicting the newest entry too (when it alone exceeds the
-            # budget) keeps the budget strict; the caller still holds a
-            # reference and proceeds, the cache just stays cold.
-            while self._bytes > self.max_bytes and self._entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self.evictions += 1
-
-    def note_attached_hit(self) -> None:
-        with self._lock:
-            self.attached_hits += 1
 
     def note_device_upload(self) -> None:
         with self._lock:
@@ -391,65 +352,36 @@ class PlaneCache:
             return PlaneCacheStats(
                 hits=self.hits,
                 misses=self.misses,
-                attached_hits=self.attached_hits,
-                evictions=self.evictions,
                 device_uploads=self.device_uploads,
                 device_reuses=self.device_reuses,
-                entries=len(self._entries),
+                entries=self._entries,
                 bytes_cached=self._bytes,
             )
 
     def clear(self) -> None:
-        """Drop every entry (counters keep their totals)."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+        """Do nothing: a memoised operand is freed with its tensor.
+
+        Kept because ``perfbench`` calls it between set-ups.
+        """
 
 
-_PLANE_CACHE_LOCK = threading.Lock()
-_PLANE_CACHE_UNSET = object()
-_plane_cache: Any = _PLANE_CACHE_UNSET
+_plane_cache: Optional[PlaneCache] = PlaneCache()
 
 
 def get_plane_cache() -> Optional[PlaneCache]:
-    """The process-wide plane cache (``None`` when caching is disabled).
-
-    Created lazily with the default budget on first use; swap or disable
-    it with :func:`set_plane_cache` / :func:`use_plane_cache`.
-    """
-    global _plane_cache
-    if _plane_cache is _PLANE_CACHE_UNSET:
-        with _PLANE_CACHE_LOCK:
-            if _plane_cache is _PLANE_CACHE_UNSET:
-                _plane_cache = PlaneCache()
+    """The process-wide operand counters; ``None`` while caching is disabled."""
     return _plane_cache
-
-
-def _swap_plane_cache(cache: Any) -> Any:
-    global _plane_cache
-    with _PLANE_CACHE_LOCK:
-        previous = _plane_cache
-        _plane_cache = cache
-    return previous
-
-
-def set_plane_cache(cache: Optional[PlaneCache]) -> Optional[PlaneCache]:
-    """Install ``cache`` as the process-wide plane cache (``None`` disables).
-
-    Returns the previously installed cache, if any.
-    """
-    previous = _swap_plane_cache(cache)
-    return None if previous is _PLANE_CACHE_UNSET else previous
 
 
 @contextmanager
 def use_plane_cache(cache: Optional[PlaneCache]) -> Iterator[Optional[PlaneCache]]:
-    """Scoped plane-cache override; ``None`` disables caching in the scope."""
-    previous = _swap_plane_cache(cache)
+    """Scoped counter override; ``None`` disables operand memoisation in the scope."""
+    global _plane_cache
+    previous, _plane_cache = _plane_cache, cache
     try:
         yield cache
     finally:
-        _swap_plane_cache(previous)
+        _plane_cache = previous
 
 
 class IndexDomainEngine:
@@ -689,37 +621,33 @@ class VectorizedIndexDomainEngine(IndexDomainEngine):
     def _plane_set(
         self, tensor: QuantizedTensor, role: str, shape: Tuple[int, int]
     ) -> PlaneSet:
-        """Resolve one decoded operand: attached → digest cache → build.
+        """One decoded operand, memoised on the tensor that owns it.
 
-        An operand carrying a pre-built plane set (``tensor._plane_sets``
-        — the KV cache's incremental slabs) wins when its fit and shape
-        match.  Otherwise the weight (``rhs``) role consults the process
-        plane cache keyed by the tensor's content digest; activations are
-        decoded fresh (they change every call, hashing them would only
-        add cost).
+        While caching is on, a plane set in ``tensor._plane_sets[role]``
+        whose fit and shape match is reused, whether an earlier GEMM
+        memoised it or a KV slab attached it.  Otherwise the operand is
+        decoded and memoised there for the next GEMM.  A weight therefore
+        decodes once for as long as its tensor lives (the executor's
+        weight cache decides that), and an activation feeding several
+        GEMMs (the Q/K/V input) once.  Under ``use_plane_cache(None)`` the
+        memo is neither read nor written: the uncached oracle.
         """
         cache = get_plane_cache()
-        attached = getattr(tensor, "_plane_sets", None)
-        if attached is not None:
-            candidate = attached.get(role)
-            if (
-                candidate is not None
-                and candidate.fit_key == self._fit_key
-                and candidate.plane_shape == tuple(shape)
-            ):
-                if cache is not None:
-                    cache.note_attached_hit()
-                return candidate
         dictionary = self.act_dict if role == "lhs" else self.weight_dict
-        if cache is not None and role == "rhs":
-            key = (tensor.content_digest(), role)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            built = self._build_plane_set(tensor, role, shape, dictionary)
-            cache.put(key, built)
-            return built
-        return self._build_plane_set(tensor, role, shape, dictionary)
+        if cache is None:
+            return self._build_plane_set(tensor, role, shape, dictionary)
+        memoised = tensor._plane_sets.get(role)
+        if (
+            memoised is not None
+            and memoised.fit_key == self._fit_key
+            and memoised.plane_shape == tuple(shape)
+        ):
+            cache.note_hit()
+            return memoised
+        built = self._build_plane_set(tensor, role, shape, dictionary)
+        tensor._plane_sets[role] = built
+        cache.track(built)
+        return built
 
     def _build_planes(
         self, activations: QuantizedTensor, weights: QuantizedTensor

@@ -8,9 +8,8 @@ to decode themselves and how many bits they occupy in memory.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,12 +28,19 @@ class QuantizedTensor:
         shape: Original tensor shape.
         encoded: Per-value sign / index / outlier encoding.
         dictionary: The per-tensor Gaussian + outlier dictionaries.
+
+    The index-domain engine memoises the tensor's decoded operands in
+    ``_plane_sets`` (GEMM role -> ``PlaneSet``), so they live and die
+    with the tensor; the encoding is immutable once constructed.
     """
 
     name: str
     shape: Tuple[int, ...]
     encoded: EncodedValues
     dictionary: TensorDictionary
+    _plane_sets: Dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def size(self) -> int:
@@ -77,37 +83,6 @@ class QuantizedTensor:
         """Footprint reduction versus storing the tensor at ``baseline_bits_per_value``."""
         original = self.size * baseline_bits_per_value
         return original / self.memory_bits()
-
-    def content_digest(self) -> str:
-        """Content hash of the encoded stream plus its dictionary.
-
-        Two tensors share a digest exactly when their encoded fields,
-        shape, and every dictionary parameter that influences decode or
-        plane construction agree — so anything keyed by this digest (the
-        plane cache) can never go stale: a different tensor is a
-        different key by construction.  Memoised per instance; the
-        encoding is immutable once constructed.
-        """
-        memoised = getattr(self, "_content_digest", None)
-        if memoised is not None:
-            return memoised
-        enc, d = self.encoded, self.dictionary
-        fit = d.golden.fit
-        h = hashlib.sha1()
-        h.update(repr(self.shape).encode())
-        for field in (enc.is_outlier, enc.sign, enc.gaussian_index, enc.outlier_index):
-            h.update(np.ascontiguousarray(field).tobytes())
-        h.update(
-            np.array(
-                [d.mean, d.std, d.threshold, fit.a, fit.b], dtype=np.float64
-            ).tobytes()
-        )
-        h.update(np.array([fit.num_entries], dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(d.gaussian_half, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(d.outlier_centroids, dtype=np.float64).tobytes())
-        digest = h.hexdigest()
-        self._content_digest = digest
-        return digest
 
     def quantization_error(self, original: np.ndarray) -> Dict[str, float]:
         """Error statistics of the reconstruction against ``original``."""

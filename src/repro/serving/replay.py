@@ -319,8 +319,8 @@ class DecodeStreamsResult:
 
     Unlike :class:`ReplayResult` — which times *simulated* accelerators —
     this runs the real index-domain software pipeline: ``num_streams``
-    concurrent requests share one model's quantized weights, weight
-    planes, and plane cache, and every decode step batches the streams'
+    concurrent requests share one model's quantized weights and their
+    decoded planes, and every decode step batches the streams'
     independent GEMMs through ``index_domain_matmul_many``.
 
     Attributes:
@@ -332,9 +332,9 @@ class DecodeStreamsResult:
         prefill_seconds: Wall time of all prefill passes.
         decode_seconds: Wall time of the lockstep decode loop.
         output_rms_error: Worst per-stream RMS error vs the FP oracle.
-        plane_cache: Plane-cache hit/miss counters for the run (mapping
-            form of ``PlaneCacheStats``), or ``None`` when caching was
-            disabled.
+        plane_cache: Decoded-operand counters for the run (mapping form
+            of ``PlaneCacheStats``: reuses, decodes, live memoised
+            bytes), or ``None`` when caching was disabled.
     """
 
     num_streams: int
@@ -369,7 +369,7 @@ def replay_decode_streams(
     :class:`~repro.transformer.index_model.MultiStreamDecoder` (imported
     lazily so the serving package stays importable without the
     transformer stack), the decoder's one prefill/decode loop: all
-    streams share quantized weights, weight planes and the plane cache,
+    streams share quantized weights and their decoded planes,
     and each pass issues one batched GEMM call per GEMM family across
     streams.  ``execute_decoder`` is the one-stream case; stream 0 here
     matches it with the same seed (exactly at one stream, to round-off

@@ -98,8 +98,9 @@ class LayerMeasurement:
         total_seconds: End-to-end wall time of the layer forward.
         output_rms_error: RMS error of the index-domain layer output
             against the FP forward, relative to the FP output RMS.
-        plane_cache: Plane-cache counter delta over this measurement
-            (``None`` when the caller did not capture one).
+        plane_cache: Decoded-operand counter delta over this measurement
+            (reuses, decodes and the live memoised bytes; see
+            :class:`PlaneCacheStats`), ``None`` when caching was disabled.
     """
 
     model: str
@@ -137,11 +138,14 @@ class IndexDomainEncoderExecutor:
         device: Optional device for backends that take one (the torch
             engine).
         cache_weights: Quantize each weight tensor once per ``(layer,
-            gemm)`` key and reuse the encoding on every later forward.
-            Weight quantization dominates a cold layer forward (~2x the
-            engine time at BERT-Base width), so campaigns and decoders
-            that revisit layers pay it only once.  Exact: dictionary
-            fitting is deterministic in the tensor values.
+            gemm)`` key and reuse the encoding, and the decoded operand
+            memoised on it, on every later forward that passes the same
+            (or an equal) weight array.  Weight quantization dominates a
+            cold layer forward (~2x the engine time at BERT-Base width),
+            so campaigns and decoders that revisit layers pay it only
+            once.  Exact: dictionary fitting is deterministic in the
+            tensor values.  This is the only weight cache: without it a
+            weight's decoded operand lives for one GEMM group.
         gemm_batching: Evaluate shape-matched independent GEMMs (the
             per-head attention score/context products, the Q/K/V
             projections sharing one quantized input) with single batched
@@ -167,7 +171,10 @@ class IndexDomainEncoderExecutor:
         self.device = device
         self.cache_weights = cache_weights
         self.gemm_batching = gemm_batching
-        self._weight_cache: Dict[Tuple[Hashable, str], QuantizedTensor] = {}
+        #: ``(layer, gemm)`` -> (source weight array, its quantization).
+        self._weight_cache: Dict[
+            Tuple[Hashable, str], Tuple[np.ndarray, QuantizedTensor]
+        ] = {}
         #: GEMMs served from the weight cache (monotonic across forwards).
         self.weight_cache_hits = 0
 
@@ -183,19 +190,26 @@ class IndexDomainEncoderExecutor:
         """Quantized weight and the seconds actually spent quantizing.
 
         Cache hits cost ~0 s, which is the point: a model executor or
-        decoder revisiting a layer reuses the encoding.
+        decoder revisiting a layer reuses the encoding, and with it the
+        decoded operand the engine memoised on it.  An entry serves only
+        the array it was quantized from (the same object, or an equal
+        array of the same shape); any other array under its key is
+        quantized afresh and replaces the entry.
         """
         cache_key = (layer_key, name)
-        if self.cache_weights and layer_key is not None:
+        caching = self.cache_weights and layer_key is not None
+        if caching:
             cached = self._weight_cache.get(cache_key)
             if cached is not None:
-                self.weight_cache_hits += 1
-                return cached, 0.0
+                source, wq = cached
+                if source is w or np.array_equal(source, w):
+                    self.weight_cache_hits += 1
+                    return wq, 0.0
         started = time.perf_counter()
         wq = self.quantizer.quantize(np.asarray(w, dtype=np.float64), f"{name}.weight")
         elapsed = time.perf_counter() - started
-        if self.cache_weights and layer_key is not None:
-            self._weight_cache[cache_key] = wq
+        if caching:
+            self._weight_cache[cache_key] = (w, wq)
         return wq, elapsed
 
     def _run_engine(

@@ -110,8 +110,9 @@ class ModelMeasurement:
         weight_cache_hits: GEMMs served from the weight cache during
             this forward (0 on the first forward of a fresh executor,
             one per weight GEMM on every later forward).
-        plane_cache: Plane-cache counter delta over this forward
-            (``None`` when caching is disabled).
+        plane_cache: Decoded-operand counter delta over this forward
+            (reuses, decodes and the live memoised bytes; see
+            :class:`PlaneCacheStats`), ``None`` when caching is disabled.
     """
 
     model: str
@@ -554,12 +555,10 @@ class IndexKVCache:
         key_slice = _slice_quantized(self._keys[layer], columns, transpose=True)
         value_slice = _slice_quantized(self._values[layer], columns)
         if self.incremental_planes:
-            key_slice._plane_sets = {
-                "rhs": self._slabs[(layer, "key")].plane_set(columns, transpose=True)
-            }
-            value_slice._plane_sets = {
-                "rhs": self._slabs[(layer, "value")].plane_set(columns)
-            }
+            key_slice._plane_sets["rhs"] = self._slabs[(layer, "key")].plane_set(
+                columns, transpose=True
+            )
+            value_slice._plane_sets["rhs"] = self._slabs[(layer, "value")].plane_set(columns)
         return key_slice, value_slice
 
 
@@ -585,8 +584,8 @@ class DecodeMeasurement:
         outputs: Final-layer index-domain hidden states, prefill rows
             first then one row per decode step — what the bit-identity
             property tests compare across cached/uncached runs.
-        plane_cache: Plane-cache counter delta over the run (``None``
-            when caching was disabled).
+        plane_cache: Decoded-operand counter delta over the run (see
+            :class:`PlaneCacheStats`), ``None`` when caching was disabled.
     """
 
     model: str
@@ -764,7 +763,8 @@ class MultiStreamDecodeMeasurement:
             stream's FP oracle.
         outputs: Per-stream final-layer hidden states (prefill rows
             first, then one row per step).
-        plane_cache: Plane-cache counter delta over the run.
+        plane_cache: Decoded-operand counter delta over the run (see
+            :class:`PlaneCacheStats`), ``None`` when caching was disabled.
     """
 
     model: str
@@ -980,10 +980,11 @@ def execute_decoder(
         device: Optional device for backends that take one.
         seed: Seed for the block weights and the synthetic inputs.
         gemm_batching: Batch per-head GEMMs into single BLAS calls.
-        plane_caching: Keep decoded weights in the process plane cache
-            and grow the decoded KV slabs incrementally (the hot path).
-            ``False`` runs the uncached oracle — bit-identical outputs
-            and stats, every operand decoded again at every step.
+        plane_caching: Memoise each decoded operand on its tensor (a
+            weight decodes once per session) and grow the decoded KV
+            slabs incrementally (the hot path).  ``False`` runs the
+            uncached oracle — bit-identical outputs and stats, every
+            operand decoded again at every GEMM.
     """
     decoder = MultiStreamDecoder(
         model,

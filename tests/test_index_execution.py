@@ -143,6 +143,26 @@ class TestExecuteEncoderLayer:
             g.macs for g in encoder_gemms(config, 8, 1)
         )
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"disentangled_attention": True}, {"intermediate_size": 128}],
+        ids=["disentangled", "wider-ffn"],
+    )
+    def test_weight_cache_serves_only_its_source_array(self, quantizer, changes):
+        """A cached weight is reused only for an equal array under its key."""
+        plain = replace(NANO_CONFIG, num_layers=1)
+        other = replace(plain, **changes)
+        executor = IndexDomainEncoderExecutor(quantizer=quantizer, cache_weights=True)
+        execute_encoder_layer(plain, sequence_length=8, seed=3, executor=executor)
+        # Rebuilt from the same seed: new arrays, equal contents, all hit.
+        execute_encoder_layer(plain, sequence_length=8, seed=3, executor=executor)
+        assert executor.weight_cache_hits == 6
+
+        reused = execute_encoder_layer(other, sequence_length=8, seed=3, executor=executor)
+        fresh = execute_encoder_layer(other, sequence_length=8, seed=3, quantizer=quantizer)
+        assert reused.stats == fresh.stats
+        assert reused.output_rms_error == fresh.output_rms_error
+
     def test_rejects_bad_arguments(self, quantizer):
         with pytest.raises(ValueError):
             IndexDomainEncoderExecutor(quantizer=quantizer, engine="gpu")

@@ -14,10 +14,13 @@ or operation counts.  This file locks that contract three ways:
    across prompt lengths, decode depths, stream counts and dictionary
    fits, plus fixed parametrised cases across the scalar / vectorized /
    torch engines;
-3. unit tests of the :class:`~repro.core.index_compute.PlaneCache`
-   itself — LRU eviction under a byte budget, counters, the scoped
-   override, and the digest/attached resolution order.
+3. unit tests of the operand memo — a tensor's plane set is decoded
+   once per role and freed with the tensor, the
+   :class:`~repro.core.index_compute.PlaneCache` counters and live-byte
+   gauge, the scoped override, and slab attachments.
 """
+
+import gc
 
 import numpy as np
 import pytest
@@ -29,11 +32,11 @@ from repro.core.index_compute import (
     VectorizedIndexDomainEngine,
     get_plane_cache,
     index_domain_matmul,
-    set_plane_cache,
     use_plane_cache,
 )
 from repro.transformer.config import TransformerConfig
 from repro.transformer.index_model import (
+    IndexDomainModelExecutor,
     MultiStreamDecoder,
     _concat_quantized,
     _PlaneSlab,
@@ -117,11 +120,14 @@ class TestSlabEqualsRebuild:
         with use_plane_cache(None):
             plain = _slice_quantized(tensor, columns, transpose=True)
             oracle_values, oracle_stats = index_domain_matmul(act, plain)
+        cache = PlaneCache()
+        with use_plane_cache(cache):
             attached = _slice_quantized(tensor, columns, transpose=True)
-            attached._plane_sets = {
-                "rhs": slab.plane_set(columns, transpose=True)
-            }
+            slab_planes = slab.plane_set(columns, transpose=True)
+            attached._plane_sets["rhs"] = slab_planes
             cached_values, cached_stats = index_domain_matmul(act, attached)
+        assert attached._plane_sets["rhs"] is slab_planes  # used, not rebuilt
+        assert (cache.hits, cache.misses) == (1, 1)  # the slab; the activation
         assert np.array_equal(cached_values, oracle_values)
         assert cached_stats == oracle_stats
 
@@ -212,73 +218,119 @@ class TestDecodeBitIdentity:
         assert multi.output_rms_error < 0.5
 
 
-class TestPlaneCacheUnit:
-    def _plane_set(self, quantizer, seed=0, rows=6, cols=4):
-        rng = np.random.default_rng(seed)
-        tensor = quantizer.quantize(rng.normal(0, 0.5, (rows, cols)), f"w.{seed}")
-        engine = VectorizedIndexDomainEngine(tensor.dictionary, tensor.dictionary)
-        return engine._build_plane_set(tensor, "rhs", tensor.shape, tensor.dictionary)
+def _record_decodes(monkeypatch):
+    """A list that collects ``(tensor name, role)`` for every decode."""
+    built = []
+    real = VectorizedIndexDomainEngine._build_plane_set
 
-    def test_lru_eviction_under_byte_budget(self, quantizer):
-        sets = [self._plane_set(quantizer, seed=s) for s in range(3)]
-        budget = sets[0].nbytes * 2 + sets[1].nbytes // 2  # fits two, not three
-        cache = PlaneCache(max_bytes=budget)
-        for s, plane_set in enumerate(sets):
-            cache.put((f"digest{s}", "rhs"), plane_set)
-        assert len(cache) <= 2
-        assert cache.stats().evictions >= 1
-        # The oldest entry went first.
-        assert cache.get(("digest0", "rhs")) is None
-        assert cache.get(("digest2", "rhs")) is sets[2]
-        assert cache.bytes_cached <= budget
+    def spy(engine, tensor, role, shape, dictionary):
+        built.append((tensor.name, role))
+        return real(engine, tensor, role, shape, dictionary)
+
+    monkeypatch.setattr(VectorizedIndexDomainEngine, "_build_plane_set", spy)
+    return built
+
+
+class TestPlaneCacheUnit:
+    def _operands(self, quantizer, seed=0, m=3, k=5, n=4):
+        rng = np.random.default_rng(seed)
+        act = quantizer.quantize(rng.normal(0, 1.0, (m, k)), f"a.{seed}")
+        wgt = quantizer.quantize(rng.normal(0, 0.3, (k, n)), f"w.{seed}")
+        return act, wgt
 
     def test_counters_and_hit_rate(self, quantizer):
-        cache = PlaneCache(max_bytes=1 << 30)
-        plane_set = self._plane_set(quantizer)
-        assert cache.get(("d", "rhs")) is None  # miss
-        cache.put(("d", "rhs"), plane_set)
-        assert cache.get(("d", "rhs")) is plane_set  # hit
-        cache.note_attached_hit()
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.attached_hits) == (1, 1, 1)
-        assert stats.hit_rate == pytest.approx(2 / 3)
-        delta = cache.stats().minus(stats)
-        assert delta.hits == 0 and delta.entries == stats.entries
+        act, wgt = self._operands(quantizer)
+        cache = PlaneCache()
+        with use_plane_cache(cache):
+            first, _ = index_domain_matmul(act, wgt)  # decodes both: 2 misses
+            stats = cache.stats()
+            second, _ = index_domain_matmul(act, wgt)  # reuses both: 2 hits
+        assert np.array_equal(first, second)
+        final = cache.stats()
+        assert (final.hits, final.misses, final.evictions) == (2, 2, 0)
+        assert final.hit_rate == pytest.approx(0.5)
+        delta = final.minus(stats)
+        assert (delta.hits, delta.misses) == (2, 0)
+        assert delta.entries == final.entries == 2
+        assert delta.bytes_cached == final.bytes_cached > 0
 
-    def test_zero_budget_caches_nothing(self, quantizer):
-        cache = PlaneCache(max_bytes=0)
-        cache.put(("d", "rhs"), self._plane_set(quantizer))
-        assert len(cache) == 0 and cache.bytes_cached == 0
+    def test_plane_set_built_once_per_role(self, quantizer, monkeypatch):
+        rng = np.random.default_rng(5)
+        square = quantizer.quantize(rng.normal(0, 0.5, (4, 4)), "sq")
+        built = _record_decodes(monkeypatch)
+        with use_plane_cache(PlaneCache()):
+            for _ in range(3):
+                index_domain_matmul(square, square)
+        assert sorted(built) == [("sq", "lhs"), ("sq", "rhs")]
+        assert set(square._plane_sets) == {"lhs", "rhs"}
+
+    def test_bytes_cached_returns_when_tensor_dropped(self, quantizer):
+        cache = PlaneCache()
+        before = cache.stats()
+        act, wgt = self._operands(quantizer, seed=1)
+        with use_plane_cache(cache):
+            index_domain_matmul(act, wgt)
+        held = cache.stats()
+        assert held.entries == 2
+        assert held.bytes_cached == sum(p.nbytes for p in (
+            act._plane_sets["lhs"], wgt._plane_sets["rhs"]
+        ))
+        del act, wgt
+        gc.collect()
+        after = cache.stats()
+        assert (after.entries, after.bytes_cached) == (before.entries, before.bytes_cached)
+
+    def test_memo_ignored_without_caching(self, quantizer):
+        """Under ``use_plane_cache(None)`` the memo is neither read nor written."""
+        act, wgt = self._operands(quantizer, seed=2)
+        with use_plane_cache(None):
+            oracle_values, oracle_stats = index_domain_matmul(act, wgt)
+        assert act._plane_sets == {} and wgt._plane_sets == {}
+
+        engine = VectorizedIndexDomainEngine(act.dictionary, wgt.dictionary)
+        good = engine._build_plane_set(wgt, "rhs", wgt.shape, wgt.dictionary)
+        # A matching fit and shape: caching would trust it, the oracle must not.
+        wgt._plane_sets["rhs"] = type(good)(
+            dec=good.dec * 3.0, out=np.ones(wgt.shape, dtype=bool),
+            role="rhs", fit_key=good.fit_key,
+        )
+        with use_plane_cache(None):
+            values, stats = index_domain_matmul(act, wgt)
+        assert np.array_equal(values, oracle_values)
+        assert stats == oracle_stats
+
+    def test_model_forwards_keep_bytes_flat(self, quantizer, monkeypatch):
+        """Two forwards: weights decode once, the Q/K/V input once per forward."""
+        executor = IndexDomainModelExecutor(MICRO_DECODER, quantizer=quantizer, seed=4)
+        states = np.random.default_rng(4).normal(0, 1, (1, 6, 32)).astype(np.float32)
+        built = _record_decodes(monkeypatch)
+        cache = PlaneCache()
+        with use_plane_cache(cache):
+            first = executor.forward(states)
+            qkv_first = built.count(("attention.query.in", "lhs"))
+            second = executor.forward(states)
+        assert first.plane_cache.bytes_cached == second.plane_cache.bytes_cached > 0
+        assert qkv_first == 1
+        assert built.count(("attention.query.in", "lhs")) == 2  # once per forward
+        # The 6 weights are decoded only on the first forward.
+        weights = {f"attention.{p}.weight" for p in ("query", "key", "value", "output")}
+        weights |= {"ffn.intermediate.weight", "ffn.output.weight"}
+        assert sum(name in weights for name, _role in built) == 6
+        # Second forward: 6 weight reuses plus the Q/K/V input's 2 reuses;
+        # the first forward reused only that input.
+        assert (first.plane_cache.hits, second.plane_cache.hits) == (2, 8)
+        assert second.plane_cache.misses == first.plane_cache.misses - 6
+        assert second.stats == first.stats
 
     def test_use_plane_cache_restores_previous(self):
         original = get_plane_cache()
-        try:
-            inner = PlaneCache(max_bytes=1 << 20)
-            with use_plane_cache(None):
-                assert get_plane_cache() is None
-                with use_plane_cache(inner):
-                    assert get_plane_cache() is inner
-                assert get_plane_cache() is None
-            assert get_plane_cache() is original
-        finally:
-            set_plane_cache(original)
-
-    def test_digest_cache_serves_equal_content_fresh_instance(self, quantizer):
-        """Two quantizations of the same values share cached weight planes."""
-        rng = np.random.default_rng(11)
-        values = rng.normal(0, 0.4, (5, 6))
-        act = quantizer.quantize(rng.normal(0, 1.0, (3, 5)), "a")
-        first = quantizer.quantize(values, "w")
-        second = quantizer.quantize(values, "w")
-        assert first is not second
-        assert first.content_digest() == second.content_digest()
-        cache = PlaneCache(max_bytes=1 << 30)
-        with use_plane_cache(cache):
-            one_values, _ = index_domain_matmul(act, first)
-            two_values, _ = index_domain_matmul(act, second)
-        assert np.array_equal(one_values, two_values)
-        stats = cache.stats()
-        assert stats.hits >= 1  # the second GEMM reused the first's planes
+        inner = PlaneCache()
+        with use_plane_cache(None):
+            assert get_plane_cache() is None
+            with use_plane_cache(inner):
+                assert get_plane_cache() is inner
+            assert get_plane_cache() is None
+        assert get_plane_cache() is original
 
     def test_attached_planes_with_wrong_fit_are_rebuilt(self, quantizer):
         """A stale attachment (mismatched fit key) must not be trusted."""
@@ -289,14 +341,15 @@ class TestPlaneCacheUnit:
         good = engine._build_plane_set(wgt, "rhs", wgt.shape, wgt.dictionary)
         with use_plane_cache(None):
             oracle_values, oracle_stats = index_domain_matmul(act, wgt)
-            bogus = type(good)(
-                dec=good.dec * 3.0,  # would change every value if trusted
-                out=np.ones(wgt.shape, dtype=bool),  # and every count
-                role="rhs",
-                fit_key=(-1.0, -1.0, 1),  # no real fit looks like this
-            )
-            wgt._plane_sets = {"rhs": bogus}
+        bogus = type(good)(
+            dec=good.dec * 3.0,  # would change every value if trusted
+            out=np.ones(wgt.shape, dtype=bool),  # and every count
+            role="rhs",
+            fit_key=(-1.0, -1.0, 1),  # no real fit looks like this
+        )
+        wgt._plane_sets["rhs"] = bogus
+        with use_plane_cache(PlaneCache()):
             values, stats = index_domain_matmul(act, wgt)
-        del wgt._plane_sets
+        assert wgt._plane_sets["rhs"] is not bogus  # rebuilt and replaced
         assert np.array_equal(values, oracle_values)
         assert stats == oracle_stats

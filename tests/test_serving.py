@@ -416,7 +416,7 @@ class TestDecodeStreams:
         )
         assert result.output_rms_error < 0.5
         assert result.plane_cache is not None
-        assert result.plane_cache["attached_hits"] > 0
+        assert result.plane_cache["hits"] > 0
         payload = result.to_dict()
         assert payload["num_streams"] == 2
         import json

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.fixed_point import FixedPointFormat
-from repro.core.quantizer import MokeyQuantizer, QuantizedTensor
+from repro.core.quantizer import MokeyQuantizer
 from repro.core.tensor_dictionary import ENCODE_BLOCK, EncodedValues, TensorDictionary
 
 
@@ -225,8 +225,6 @@ class TestEncodeMatchesSearchsorted:
             assert got.dtype == want.dtype, field
             assert got.shape == want.shape == values.shape, field
             assert np.array_equal(got, want), field
-        digest = QuantizedTensor("t", values.shape, ours, dictionary).content_digest()
-        assert digest == QuantizedTensor("t", values.shape, oracle, dictionary).content_digest()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])

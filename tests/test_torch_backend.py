@@ -134,7 +134,7 @@ class TestDeviceResidentPlanes:
             aq.dictionary, wq.dictionary, device="cpu"
         )
         oracle = VectorizedIndexDomainEngine(aq.dictionary, wq.dictionary)
-        cache = PlaneCache(max_bytes=1 << 30)
+        cache = PlaneCache()
         with use_plane_cache(cache):
             first = engine.matmul(aq, wq)
             uploads_after_first = cache.stats().device_uploads
@@ -161,7 +161,7 @@ class TestDeviceResidentPlanes:
             vocab_size=128,
             max_position_embeddings=64,
         )
-        cache = PlaneCache(max_bytes=1 << 30)
+        cache = PlaneCache()
         with use_plane_cache(cache):
             torch_run = execute_decoder(
                 decoder, prompt_length=4, decode_tokens=3,
